@@ -35,8 +35,10 @@ from .expfam import (
     StatDef,
     StatMatrix,
     StatTerm,
+    attainable_statistics,
     demonstrate_unbounded,
     dyad_pairs,
+    enumerate_statistics,
     exact_log_kappa,
     exact_loglik,
     exact_moments,
@@ -99,8 +101,10 @@ __all__ = [
     "StatTerm",
     "TargetSet",
     "TestSet",
+    "attainable_statistics",
     "demonstrate_unbounded",
     "dyad_pairs",
+    "enumerate_statistics",
     "exact_log_kappa",
     "exact_loglik",
     "exact_mle",

@@ -282,6 +282,26 @@ def _target_from_file(path: str, centroid_mode: str):
     return make_target_set(points)
 
 
+def _target_and_tests(args):
+    """Target set and test set of min-scale and prune-curve."""
+    target = _target_from_file(args.target, args.centroid)
+    tests = make_test_set(read_csv_matrix(args.tests))
+    if tests.dim != target.dim:
+        raise CliError(
+            EXIT_DATA,
+            f"test points have {tests.dim} coordinates, target points have {target.dim}",
+        )
+    return target, tests
+
+
+def _floats(text: str, what: str) -> list[float]:
+    """Comma list of floats; empty tokens are skipped."""
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise CliError(EXIT_USAGE, f"bad {what}: {text!r}")
+
+
 def _manifest(command: str, args, seed, started: float) -> dict:
     skip = {"func", "command"}
     parameters = {
@@ -336,13 +356,7 @@ def cmd_hull_test(args) -> int:
 
 def cmd_min_scale(args) -> int:
     started = time.perf_counter()
-    target = _target_from_file(args.target, args.centroid)
-    tests = make_test_set(read_csv_matrix(args.tests))
-    if tests.dim != target.dim:
-        raise CliError(
-            EXIT_DATA,
-            f"test points have {tests.dim} coordinates, target points have {target.dim}",
-        )
+    target, tests = _target_and_tests(args)
     if args.prune_fraction is not None:
         target = mahalanobis_prune(target, args.prune_fraction)
     config = _solver_config(args)
@@ -364,17 +378,8 @@ def cmd_min_scale(args) -> int:
 
 def cmd_prune_curve(args) -> int:
     started = time.perf_counter()
-    target = _target_from_file(args.target, args.centroid)
-    tests = make_test_set(read_csv_matrix(args.tests))
-    if tests.dim != target.dim:
-        raise CliError(
-            EXIT_DATA,
-            f"test points have {tests.dim} coordinates, target points have {target.dim}",
-        )
-    try:
-        fractions = [float(tok) for tok in args.fractions.split(",") if tok.strip()]
-    except ValueError:
-        raise CliError(EXIT_USAGE, f"bad fraction list: {args.fractions!r}")
+    target, tests = _target_and_tests(args)
+    fractions = _floats(args.fractions, "fraction list")
     curve = prune_curve(
         target, tests, fractions, config=_solver_config(args), threads=_threads(args)
     )
@@ -429,20 +434,23 @@ def _stat_def(spec: str) -> StatDef:
         raise CliError(EXIT_USAGE, f"bad --stats: {exc}")
 
 
-def cmd_estimate(args) -> int:
-    started = time.perf_counter()
+def _model_inputs(args, theta_text: str | None, theta_flag: str):
+    """Statistics, graph, mask and parameter of estimate and demo-unbounded;
+    the parameter defaults to zero."""
     stats = _stat_def(args.stats)
     graph = read_graph(args.graph)
     mask = read_mask(args.mask, graph) if args.mask else ObservationMask.all_observed(graph)
-    if args.theta0 is None:
-        theta0 = np.zeros(stats.dim)
-    else:
-        try:
-            theta0 = np.array([float(tok) for tok in args.theta0.split(",")])
-        except ValueError:
-            raise CliError(EXIT_USAGE, f"bad --theta0: {args.theta0!r}")
-        if theta0.size != stats.dim:
-            raise CliError(EXIT_USAGE, f"--theta0 needs {stats.dim} components")
+    if theta_text is None:
+        return stats, graph, mask, np.zeros(stats.dim)
+    theta = np.array(_floats(theta_text, theta_flag))
+    if theta.size != stats.dim:
+        raise CliError(EXIT_USAGE, f"{theta_flag} needs {stats.dim} components")
+    return stats, graph, mask, theta
+
+
+def cmd_estimate(args) -> int:
+    started = time.perf_counter()
+    stats, graph, mask, theta0 = _model_inputs(args, args.theta0, "--theta0")
     cfg = EstimatorConfig(
         r_target=args.r_target,
         s_test=args.s_test,
@@ -480,22 +488,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_demo_unbounded(args) -> int:
     started = time.perf_counter()
-    stats = _stat_def(args.stats)
-    graph = read_graph(args.graph)
-    mask = read_mask(args.mask, graph) if args.mask else ObservationMask.all_observed(graph)
-    if args.theta is None:
-        theta = np.zeros(stats.dim)
-    else:
-        try:
-            theta = np.array([float(tok) for tok in args.theta.split(",")])
-        except ValueError:
-            raise CliError(EXIT_USAGE, f"bad --theta: {args.theta!r}")
-        if theta.size != stats.dim:
-            raise CliError(EXIT_USAGE, f"--theta needs {stats.dim} components")
-    try:
-        alphas = [float(tok) for tok in args.alphas.split(",") if tok.strip()]
-    except ValueError:
-        raise CliError(EXIT_USAGE, f"bad --alphas: {args.alphas!r}")
+    stats, graph, mask, theta = _model_inputs(args, args.theta, "--theta")
+    alphas = _floats(args.alphas, "--alphas")
 
     sample_y = mcmc_sample(
         stats, theta, graph.n, args.r_target,

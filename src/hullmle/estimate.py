@@ -23,9 +23,7 @@ from .expfam import (
     Graph,
     ObservationMask,
     StatDef,
-    _chunk_statistics,
-    _enumeration_frame,
-    _rows_of,
+    attainable_statistics,
     exact_moments,
     loglik_ratio_grad,
     loglik_ratio_hat,
@@ -192,15 +190,13 @@ def rescaled_step(theta0, g_y, g_z, scale: float, cfg: EstimatorConfig) -> np.nd
     the target-sample column mean.
     """
     theta = numerics.as_vector(theta0, "theta0")
-    ys = _rows_of(g_y)
-    zs = _rows_of(g_z)
     if not np.isfinite(scale) or scale <= 0.0:
         raise ValueError("scale must be finite and positive")
     effective = cfg.safety_factor * scale
     restart_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(97,)))
     dtheta = _maximize(
-        value=lambda dt: loglik_ratio_hat(dt, ys, zs, effective),
-        grad=lambda dt: loglik_ratio_grad(dt, ys, zs, effective),
+        value=lambda dt: loglik_ratio_hat(dt, g_y, g_z, effective),
+        grad=lambda dt: loglik_ratio_grad(dt, g_y, g_z, effective),
         x0=np.zeros(theta.size),
         gradient_tol=cfg.gradient_tol,
         max_iterations=cfg.max_inner_iterations,
@@ -217,6 +213,13 @@ def _variance_condition(y_rows: np.ndarray, z_rows: np.ndarray) -> bool | None:
         return bool(np.linalg.eigvalsh(difference).min() > 0.0)
     except np.linalg.LinAlgError:
         return None
+
+
+def _estimation_mask(y_obs: Graph, mask: ObservationMask | None) -> ObservationMask:
+    checked = ObservationMask.checked(y_obs, mask)
+    if not checked.observed_dyads.any():
+        raise ValueError("mask observes nothing; estimation has no data")
+    return checked
 
 
 def iterate_until_contained(
@@ -239,14 +242,7 @@ def iterate_until_contained(
     theta = numerics.as_vector(theta0, "theta0").copy()
     if theta.size != stats.dim:
         raise ValueError(f"theta0 has {theta.size} entries, statistics have {stats.dim}")
-    if mask is not None:
-        if mask.observed_dyads.size != y_obs.edges.size:
-            raise ValueError("mask and graph disagree on dyad count")
-        if np.any(mask.observed_values != (y_obs.edges & mask.observed_dyads)):
-            raise ValueError("mask values disagree with the observed graph")
-        if not mask.observed_dyads.any():
-            raise ValueError("mask observes nothing; estimation has no data")
-    effective_mask = mask if mask is not None else ObservationMask.all_observed(y_obs)
+    mask = _estimation_mask(y_obs, mask)
 
     records: list[IterationRecord] = []
     converged = False
@@ -257,7 +253,7 @@ def iterate_until_contained(
             stats, theta, y_obs.n, cfg.r_target, cfg.mcmc_interval, None, seed_y
         )
         sample_z = mcmc_sample(
-            stats, theta, y_obs.n, cfg.s_test, cfg.mcmc_interval, effective_mask, seed_z
+            stats, theta, y_obs.n, cfg.s_test, cfg.mcmc_interval, mask, seed_z
         )
 
         target = make_target_set(sample_y.rows)
@@ -289,29 +285,6 @@ def iterate_until_contained(
     )
 
 
-def _attainable_hull_blocks(stats: StatDef, n: int, mask: ObservationMask | None):
-    """Unique statistic vectors over the (possibly constrained) space."""
-    free, base, incidence, triples = _enumeration_frame(stats, n, mask)
-    k = free.size
-    seen = set()
-    rows = []
-    total = 1 << k
-    chunk = 1 << 16
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        codes = np.arange(lo, hi, dtype=np.int64)
-        dyads = np.broadcast_to(base.astype(np.float64), (hi - lo, base.size)).copy()
-        if k:
-            dyads[:, free] = (codes[:, None] >> np.arange(k)) & 1
-        g = _chunk_statistics(dyads, stats, incidence, triples)
-        for row in g:
-            key = tuple(row.tolist())
-            if key not in seen:
-                seen.add(key)
-                rows.append(row)
-    return np.array(rows)
-
-
 # Ascent iterates beyond this norm are treated as divergence to a
 # boundary direction rather than approach to a finite maximizer; along
 # such rays the gradient also vanishes, so the bound must be checked
@@ -335,17 +308,9 @@ def exact_mle(
     the difference of constrained and unconstrained means and existence
     is detected by divergence of the ascent instead.
     """
-    if mask is not None:
-        if mask.observed_dyads.size != y_obs.edges.size:
-            raise ValueError("mask and graph disagree on dyad count")
-        if np.any(mask.observed_values != (y_obs.edges & mask.observed_dyads)):
-            raise ValueError("mask values disagree with the observed graph")
-        if not mask.observed_dyads.any():
-            raise ValueError("mask observes nothing; estimation has no data")
-
-    fully_observed = mask is None or bool(mask.observed_dyads.all())
-    if fully_observed:
-        attainable = _attainable_hull_blocks(stats, y_obs.n, None)
+    mask = _estimation_mask(y_obs, mask)
+    if mask.observed_dyads.all():
+        attainable = attainable_statistics(stats, y_obs.n)
         hull_set = make_target_set(attainable)
         verdict = query(hull_set, statistics(y_obs, stats))
         if verdict.status is not HullStatus.INTERIOR:
@@ -354,12 +319,8 @@ def exact_mle(
                 f"(status {verdict.status.value})"
             )
 
-    effective_mask = (
-        mask if mask is not None else ObservationMask.all_observed(y_obs)
-    )
-
     def loglik_parts(theta):
-        lk_con, mean_con, cov_con = exact_moments(stats, theta, y_obs.n, effective_mask)
+        lk_con, mean_con, cov_con = exact_moments(stats, theta, y_obs.n, mask)
         lk_full, mean_full, cov_full = exact_moments(stats, theta, y_obs.n, None)
         value = lk_con - lk_full
         gradient = mean_con - mean_full

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,8 @@ __all__ = [
     "StatMatrix",
     "dyad_pairs",
     "statistics",
+    "enumerate_statistics",
+    "attainable_statistics",
     "exact_log_kappa",
     "exact_moments",
     "exact_loglik",
@@ -174,6 +177,18 @@ class ObservationMask:
             observed_dyads=np.ones_like(graph.edges), observed_values=graph.edges.copy()
         )
 
+    @classmethod
+    def checked(cls, graph: Graph, mask: "ObservationMask | None") -> "ObservationMask":
+        """mask after checking that it agrees with graph; every dyad
+        observed when mask is None."""
+        if mask is None:
+            return cls.all_observed(graph)
+        if mask.observed_dyads.size != graph.edges.size:
+            raise ValueError("mask and graph disagree on dyad count")
+        if np.any(mask.observed_values != (graph.edges & mask.observed_dyads)):
+            raise ValueError("mask values disagree with the observed graph")
+        return mask
+
     @property
     def n_free(self) -> int:
         return int((~self.observed_dyads).sum())
@@ -217,38 +232,15 @@ def statistics(graph: Graph, stats: StatDef) -> np.ndarray:
     return out
 
 
-def _enumeration_frame(stats: StatDef, n: int, mask: ObservationMask | None):
-    """Shared setup for enumerating the (possibly constrained) space."""
+def _space(n: int, mask: ObservationMask | None) -> tuple[np.ndarray, np.ndarray]:
+    """Free dyad indices and base state of the (possibly constrained)
+    space: every graph in it equals base off the free dyads."""
     m = _dyad_count(n)
     if mask is None:
-        free = np.arange(m)
-        base = np.zeros(m, dtype=bool)
-    else:
-        if mask.observed_dyads.size != m:
-            raise ValueError(
-                f"mask covers {mask.observed_dyads.size} dyads, graph has {m}"
-            )
-        free = np.flatnonzero(~mask.observed_dyads)
-        base = mask.observed_values.copy()
-    if free.size > ENUM_LIMIT:
-        raise ValueError(
-            f"{free.size} free dyads exceed the enumeration limit of {ENUM_LIMIT}"
-        )
-
-    pairs = dyad_pairs(n)
-    incidence = np.zeros((m, n))
-    incidence[np.arange(m), pairs[:, 0]] = 1.0
-    incidence[np.arange(m), pairs[:, 1]] = 1.0
-
-    pair_to_index = {tuple(pq): k for k, pq in enumerate(map(tuple, pairs))}
-    triples = np.array(
-        [
-            [pair_to_index[(a, b)], pair_to_index[(a, c)], pair_to_index[(b, c)]]
-            for a, b, c in itertools.combinations(range(n), 3)
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    return free, base, incidence, triples
+        return np.arange(m), np.zeros(m, dtype=bool)
+    if mask.observed_dyads.size != m:
+        raise ValueError(f"mask covers {mask.observed_dyads.size} dyads, graph has {m}")
+    return np.flatnonzero(~mask.observed_dyads), mask.observed_values.copy()
 
 
 def _chunk_statistics(dyads, stats, incidence, triples) -> np.ndarray:
@@ -267,6 +259,56 @@ def _chunk_statistics(dyads, stats, incidence, triples) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def enumerate_statistics(
+    stats: StatDef, n: int, mask: ObservationMask | None = None
+) -> Iterator[np.ndarray]:
+    """Statistic rows of every graph in the (possibly constrained) space.
+
+    Yields blocks of at most 2**16 rows in code order: row c of the
+    concatenated blocks belongs to the graph whose k-th free dyad holds
+    bit k of c.
+    """
+    free, base = _space(n, mask)
+    k = free.size
+    if k > ENUM_LIMIT:
+        raise ValueError(f"{k} free dyads exceed the enumeration limit of {ENUM_LIMIT}")
+
+    pairs = dyad_pairs(n)
+    m = pairs.shape[0]
+    incidence = np.zeros((m, n))
+    incidence[np.arange(m), pairs[:, 0]] = 1.0
+    incidence[np.arange(m), pairs[:, 1]] = 1.0
+    pair_to_index = {tuple(pq): j for j, pq in enumerate(map(tuple, pairs))}
+    triples = np.array(
+        [
+            [pair_to_index[(a, b)], pair_to_index[(a, c)], pair_to_index[(b, c)]]
+            for a, b, c in itertools.combinations(range(n), 3)
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+
+    total = 1 << k
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        codes = np.arange(lo, hi, dtype=np.int64)
+        dyads = np.broadcast_to(base.astype(np.float64), (hi - lo, m)).copy()
+        if k:
+            dyads[:, free] = (codes[:, None] >> np.arange(k)) & 1
+        yield _chunk_statistics(dyads, stats, incidence, triples)
+
+
+def attainable_statistics(
+    stats: StatDef, n: int, mask: ObservationMask | None = None
+) -> np.ndarray:
+    """Distinct statistic rows over the (possibly constrained) space, in
+    order of first appearance in enumerate_statistics."""
+    distinct: dict[tuple, np.ndarray] = {}
+    for g in enumerate_statistics(stats, n, mask):
+        for row in g:
+            distinct.setdefault(tuple(row.tolist()), row)
+    return np.array(list(distinct.values()))
+
+
 def exact_moments(
     stats: StatDef, theta, n: int, mask: ObservationMask | None = None
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -279,22 +321,12 @@ def exact_moments(
     th = numerics.as_vector(theta, "theta")
     if th.size != stats.dim:
         raise ValueError(f"theta has {th.size} entries, statistics have {stats.dim}")
-    free, base, incidence, triples = _enumeration_frame(stats, n, mask)
-    k = free.size
-    d = stats.dim
 
     shift = -math.inf
     s0 = 0.0
-    s1 = np.zeros(d)
-    s2 = np.zeros((d, d))
-    total = 1 << k
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        codes = np.arange(lo, hi, dtype=np.int64)
-        dyads = np.broadcast_to(base.astype(np.float64), (hi - lo, base.size)).copy()
-        if k:
-            dyads[:, free] = (codes[:, None] >> np.arange(k)) & 1
-        g = _chunk_statistics(dyads, stats, incidence, triples)
+    s1 = np.zeros(stats.dim)
+    s2 = np.zeros((stats.dim, stats.dim))
+    for g in enumerate_statistics(stats, n, mask):
         x = g @ th
         top = float(x.max())
         if top > shift:
@@ -333,20 +365,10 @@ def exact_loglik(
     log normalizer.
     """
     th = numerics.as_vector(theta, "theta")
-    if mask is None:
-        mask = ObservationMask.all_observed(y_obs)
-    if mask.observed_dyads.size != y_obs.edges.size:
-        raise ValueError("mask and graph disagree on dyad count")
-    if np.any(mask.observed_values != (y_obs.edges & mask.observed_dyads)):
-        raise ValueError("mask values disagree with the observed graph")
+    mask = ObservationMask.checked(y_obs, mask)
     constrained = exact_log_kappa(stats, th, y_obs.n, mask)
     full = exact_log_kappa(stats, th, y_obs.n)
     return constrained - full
-
-
-def _term_deltas(stats: StatDef) -> tuple[float, float, float]:
-    has = {term: float(term in stats.terms) for term in StatTerm}
-    return has[StatTerm.EDGES], has[StatTerm.TWO_STARS], has[StatTerm.TRIANGLES]
 
 
 def mcmc_sample(
@@ -379,13 +401,8 @@ def mcmc_sample(
         raise ValueError(f"theta has {th.size} entries, statistics have {stats.dim}")
     if count < 1:
         raise ValueError("count must be at least 1")
-    m = _dyad_count(n)
-    if mask is not None and mask.observed_dyads.size != m:
-        raise ValueError(f"mask covers {mask.observed_dyads.size} dyads, graph has {m}")
-
+    free, base = _space(n, mask)
     kind = SampleKind.UNCONSTRAINED if mask is None else SampleKind.CONSTRAINED
-    base = np.zeros(m, dtype=bool) if mask is None else mask.observed_values.copy()
-    free = np.arange(m) if mask is None else np.flatnonzero(~mask.observed_dyads)
     n_free = free.size
 
     if n_free == 0:

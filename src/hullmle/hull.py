@@ -31,6 +31,7 @@ from .lp import (
     LpStatus,
     ObjectiveSense,
     SolverConfig,
+    dual_of_membership,
     solve,
 )
 
@@ -258,17 +259,7 @@ def query_dual(
     p = _centered_point(target, point)
     if np.abs(p).max() <= cfg.feas_tol:
         return DualReport(HullStatus.INTERIOR, None, None)
-    m, d = target.points.shape
-    problem = LinearProgram(
-        objective_sense=ObjectiveSense.MAXIMIZE,
-        objective=-np.ones(m),
-        constraint_matrix=target.points.T.copy(),
-        constraint_senses=(ConstraintSense.EQ,) * d,
-        rhs=p,
-        lower_bounds=np.zeros(m),
-        upper_bounds=np.full(m, np.inf),
-    )
-    sol = solve(problem, cfg)
+    sol = solve(dual_of_membership(_membership_lp(target, p)), cfg)
     if sol.status is LpStatus.INFEASIBLE:
         return DualReport(HullStatus.DEGENERATE, None, None)
     if sol.status is not LpStatus.OPTIMAL:

@@ -394,6 +394,31 @@ def test_estimate_usage_errors(k4_files, capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("estimate", "--theta0", "0,x"), "bad --theta0: '0,x'"),
+    (("estimate", "--theta0", "1.0"), "--theta0 needs 2 components"),
+    (("demo-unbounded", "--theta", "0,0,0"), "--theta needs 2 components"),
+    (("demo-unbounded", "--alphas", "1,two"), "bad --alphas: '1,two'"),
+], ids=["bad-theta0", "theta0-count", "theta-count", "bad-alphas"])
+def test_float_list_usage_errors(k4_files, capsys, argv, message):
+    graph, mask = k4_files
+    code, _, err = run(capsys, argv[0], graph, mask, *argv[1:])
+    assert code == 64
+    assert message in err
+
+
+def test_float_lists_skip_empty_tokens(k4_files, capsys):
+    graph, mask = k4_files
+    results = []
+    for theta in ("0,,0", "0,0"):
+        code, out, _ = run(capsys, "demo-unbounded", graph, mask, "--theta", theta,
+                           "--alphas", "1,,2,", "--r-target", "75", "--s-test", "25")
+        assert code == 0
+        results.append(parse_document(out)["result"])
+    assert results[0] == results[1]
+    assert results[0]["alphas"] == [1.0, 2.0]
+
+
 def test_graph_file_errors(tmp_path, capsys):
     point = point_file(tmp_path, "p.csv", [0.0, 0.0])
 

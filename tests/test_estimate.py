@@ -17,6 +17,7 @@ from hullmle.expfam import (
     ObservationMask,
     StatDef,
     dyad_pairs,
+    exact_loglik,
     exact_moments,
     loglik_ratio_hat,
     mcmc_sample,
@@ -209,6 +210,43 @@ def test_iterate_theta0_shape_validated():
     graph, mask = masked_k4_instance()
     with pytest.raises(ValueError):
         iterate_until_contained(ET, graph, mask, np.zeros(3), _k4_cfg(0))
+
+
+# ---------------------------------------------------------------------------
+# mask contract
+
+MASK_TAKERS = {
+    "exact_loglik": lambda graph, mask: exact_loglik(ET, np.zeros(2), graph, mask),
+    "iterate_until_contained": lambda graph, mask: iterate_until_contained(
+        ET, graph, mask, np.zeros(2), _k4_cfg(0)),
+    "exact_mle": lambda graph, mask: exact_mle(ET, graph, mask),
+}
+
+
+@pytest.mark.parametrize("taker", MASK_TAKERS.values(), ids=MASK_TAKERS.keys())
+def test_mask_must_agree_with_graph(taker):
+    graph, mask = masked_k4_instance()
+    short = ObservationMask(observed_dyads=mask.observed_dyads[:6],
+                            observed_values=mask.observed_values[:6])
+    with pytest.raises(ValueError, match="mask and graph disagree on dyad count"):
+        taker(graph, short)
+    flipped = mask.observed_values.copy()
+    flipped[9] = False
+    wrong = ObservationMask(observed_dyads=mask.observed_dyads, observed_values=flipped)
+    with pytest.raises(ValueError, match="mask values disagree with the observed graph"):
+        taker(graph, wrong)
+
+
+@pytest.mark.parametrize("taker", MASK_TAKERS.values(), ids=MASK_TAKERS.keys())
+def test_mask_that_observes_nothing(taker):
+    graph, _ = masked_k4_instance()
+    nothing = ObservationMask(observed_dyads=np.zeros(10, dtype=bool),
+                              observed_values=np.zeros(10, dtype=bool))
+    if taker is MASK_TAKERS["exact_loglik"]:
+        assert taker(graph, nothing) == 0.0
+    else:
+        with pytest.raises(ValueError, match="mask observes nothing"):
+            taker(graph, nothing)
 
 
 def test_estimator_config_validation():

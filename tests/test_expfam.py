@@ -12,8 +12,10 @@ from hullmle.expfam import (
     ObservationMask,
     SampleKind,
     StatDef,
+    attainable_statistics,
     demonstrate_unbounded,
     dyad_pairs,
+    enumerate_statistics,
     exact_log_kappa,
     exact_loglik,
     exact_moments,
@@ -148,6 +150,53 @@ def test_fully_observed_loglik_is_exponential_family_form():
 def test_moments_n_cap_enforced():
     with pytest.raises(ValueError):
         exact_log_kappa(EDGES, np.zeros(1), 26)
+
+
+def graph_of_code(n, mask, code):
+    """The graph enumerated at code: bit k of code fills the k-th free dyad."""
+    m = n * (n - 1) // 2
+    edges = np.zeros(m, dtype=bool) if mask is None else mask.observed_values.copy()
+    free = np.arange(m) if mask is None else np.flatnonzero(~mask.observed_dyads)
+    edges[free] = [(code >> k) & 1 for k in range(free.size)]
+    return Graph(n=n, edges=edges)
+
+
+def masked_n5():
+    graph, mask = masked_k4_instance()
+    observed = mask.observed_dyads.copy()
+    observed[[3, 5, 8]] = False
+    return 5, ObservationMask.from_graph(graph, observed)
+
+
+@pytest.mark.parametrize("n, mask", [(4, None), masked_n5()], ids=["n4", "n5-masked"])
+def test_enumerate_statistics_concatenates_to_per_code_rows(n, mask):
+    rows = np.concatenate(list(enumerate_statistics(EST, n, mask)))
+    k = n * (n - 1) // 2 if mask is None else mask.n_free
+    expected = [statistics(graph_of_code(n, mask, c), EST) for c in range(1 << k)]
+    assert np.array_equal(rows, expected)
+
+
+def test_enumerate_statistics_chunks_in_code_order():
+    # 17 free dyads: two full chunks, checked across their seam.
+    n = 7
+    observed = np.zeros(21, dtype=bool)
+    observed[:4] = True
+    mask = ObservationMask.from_graph(Graph.complete(n), observed)
+    blocks = list(enumerate_statistics(ET, n, mask))
+    assert [b.shape for b in blocks] == [(1 << 16, 2), (1 << 16, 2)]
+    rows = np.concatenate(blocks)
+    for c in (0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, (1 << 17) - 1):
+        assert np.array_equal(rows[c], statistics(graph_of_code(n, mask, c), ET))
+
+
+@pytest.mark.parametrize("n, mask", [(4, None), masked_n5()], ids=["n4", "n5-masked"])
+def test_attainable_statistics_in_first_appearance_order(n, mask):
+    k = n * (n - 1) // 2 if mask is None else mask.n_free
+    expected = {}
+    for c in range(1 << k):
+        row = statistics(graph_of_code(n, mask, c), EST)
+        expected.setdefault(tuple(row), row)
+    assert np.array_equal(attainable_statistics(EST, n, mask), list(expected.values()))
 
 
 # ---------------------------------------------------------------------------
