@@ -85,7 +85,9 @@ class SolverConfig:
     pivot_tol     smallest pivot magnitude accepted during ratio tests
     boundary_tol  relative half-width of the boundary band in hull verdicts
     duality_tol   relative primal-dual objective agreement requirement
-    iteration_limit  pivot budget; None means 50 (rows + columns)
+    iteration_limit  pivot budget of each LP solve, so of each round of a
+                     row-generation hull query; None means 50 (rows +
+                     columns) of the LP being solved
     """
 
     feas_tol: float = 1e-7
@@ -129,9 +131,10 @@ class LinearProgram:
             raise ValueError(f"objective has {obj.size} entries for {n} columns")
         if rhs.size != m:
             raise ValueError(f"rhs has {rhs.size} entries for {m} rows")
-        if len(self.constraint_senses) != m:
+        senses = tuple(self.constraint_senses)
+        if len(senses) != m:
             raise ValueError("one constraint sense required per row")
-        if not all(isinstance(s, ConstraintSense) for s in self.constraint_senses):
+        if _sense_codes(senses) is None:
             raise ValueError("constraint_senses must be ConstraintSense values")
         if lo.size != n or hi.size != n:
             raise ValueError("bound vectors must have one entry per column")
@@ -141,7 +144,7 @@ class LinearProgram:
             raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraint_matrix", mat)
-        object.__setattr__(self, "constraint_senses", tuple(self.constraint_senses))
+        object.__setattr__(self, "constraint_senses", senses)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "lower_bounds", lo)
         object.__setattr__(self, "upper_bounds", hi)
@@ -167,11 +170,24 @@ class LpSolution:
 # Column status codes.
 _BASIC, _AT_LOWER, _AT_UPPER, _FREE = 0, 1, 2, 3
 
-_SLACK_BOUNDS = {
-    ConstraintSense.LE: (0.0, np.inf),
-    ConstraintSense.GE: (-np.inf, 0.0),
-    ConstraintSense.EQ: (0.0, 0.0),
-}
+# Slack bounds encoding each row sense, indexed by _sense_codes.
+_SLACK_LO = np.array([-np.inf, 0.0, 0.0])  # GE, LE, EQ
+_SLACK_HI = np.array([0.0, np.inf, 0.0])
+
+
+def _sense_codes(senses: tuple) -> np.ndarray | None:
+    """Each row's sense as its index in ConstraintSense order, or None
+    when some entry is not a ConstraintSense.  Rows of one sense, the
+    shape of every membership LP and its dual, cost one C-level count."""
+    m = len(senses)
+    for code, sense in enumerate(ConstraintSense):
+        if senses.count(sense) == m:
+            return np.full(m, code)
+    rows = np.fromiter(senses, dtype=object, count=m)
+    codes = np.full(m, -1)
+    for code, sense in enumerate(ConstraintSense):
+        codes[rows == sense] = code
+    return None if (codes < 0).any() else codes
 
 
 class _Simplex:
@@ -186,61 +202,44 @@ class _Simplex:
         self.c_struct = -problem.objective if self.flip else problem.objective
 
         m, n = self.m, self.n
-        self.lo = np.concatenate([problem.lower_bounds, np.empty(m)])
-        self.hi = np.concatenate([problem.upper_bounds, np.empty(m)])
-        for i, sense in enumerate(problem.constraint_senses):
-            self.lo[n + i], self.hi[n + i] = _SLACK_BOUNDS[sense]
+        codes = _sense_codes(problem.constraint_senses)
+        self.lo = np.concatenate([problem.lower_bounds, _SLACK_LO[codes]])
+        self.hi = np.concatenate([problem.upper_bounds, _SLACK_HI[codes]])
 
-        self.status = np.empty(n + m, dtype=np.int64)
         lo_fin = np.isfinite(self.lo[:n])
         hi_fin = np.isfinite(self.hi[:n])
         near_lo = lo_fin & (~hi_fin | (np.abs(self.lo[:n]) <= np.abs(self.hi[:n])))
-        self.status[:n] = np.where(
-            near_lo, _AT_LOWER, np.where(hi_fin, _AT_UPPER, _FREE)
-        )
-
-        # unit_col[i] is the basic unit column covering row i, or -1 when
-        # the row is covered by a structural column instead.
-        self.unit_col = np.full(m, -1, dtype=np.int64)
-        self.basic_struct: list[int] = []
+        struct_status = np.where(near_lo, _AT_LOWER, np.where(hi_fin, _AT_UPPER, _FREE))
 
         # Start from the all-slack basis; rows whose residual violates the
         # slack bounds get an artificial unit column signed like the
         # violation, so artificials start basic and nonnegative.
+        self.status = struct_status  # read by _nonbasic_struct_values
         resid = self.b - self.A @ self._nonbasic_struct_values()
-        art_rows = []
-        art_coefs = []
-        for i in range(m):
-            lo, hi = self.lo[n + i], self.hi[n + i]
-            if lo <= resid[i] <= hi:
-                self.status[n + i] = _BASIC
-                self.unit_col[i] = n + i
-            elif resid[i] > hi:
-                self.status[n + i] = _AT_UPPER
-                art_rows.append(i)
-                art_coefs.append(1.0)
-            else:
-                self.status[n + i] = _AT_LOWER
-                art_rows.append(i)
-                art_coefs.append(-1.0)
-        self.n_art = len(art_rows)
-        self.art_row = np.array(art_rows, dtype=np.int64)
+        fits = (self.lo[n:] <= resid) & (resid <= self.hi[n:])
+        above = resid > self.hi[n:]
+        art_rows = np.flatnonzero(~fits)
+        self.n_art = art_rows.size
         self.total = n + m + self.n_art
-        self.status = np.concatenate(
-            [self.status, np.full(self.n_art, _BASIC, dtype=np.int64)]
-        )
+        self.status = np.concatenate([
+            struct_status,
+            np.where(fits, _BASIC, np.where(above, _AT_UPPER, _AT_LOWER)),
+            np.full(self.n_art, _BASIC),
+        ])
         self.lo = np.concatenate([self.lo, np.zeros(self.n_art)])
         self.hi = np.concatenate([self.hi, np.full(self.n_art, np.inf)])
+
+        # unit_col[i] is the basic unit column covering row i, or -1 when
+        # the row is covered by a structural column instead.
+        self.unit_col = n + np.arange(m)
+        self.unit_col[art_rows] = n + m + np.arange(self.n_art)
+        self.basic_struct: list[int] = []
 
         # Coefficient of each unit column in its row (slack +1, artificial
         # carries the violation sign); indexed by column id for vector use.
         self.col_coef = np.ones(self.total)
-        self.col_coef[n + m :] = np.array(art_coefs)
-        self.col_row = np.concatenate(
-            [np.full(n, -1, dtype=np.int64), np.arange(m), self.art_row]
-        )
-        for a, row in enumerate(art_rows):
-            self.unit_col[row] = n + m + a
+        self.col_coef[n + m :] = np.where(above[art_rows], 1.0, -1.0)
+        self.col_row = np.concatenate([np.full(n, -1), np.arange(m), art_rows])
 
         self.iterations = 0
         self.bland = False
@@ -445,10 +444,8 @@ class _Simplex:
         """Pivot basic artificials out after phase one where any replacement
         column has a usable pivot element; rows without one are redundant and
         keep their artificial pinned at zero by the bound clamp."""
-        for i in range(self.m):
+        for i in np.flatnonzero(self.unit_col >= self.n + self.m):
             col = self.unit_col[i]
-            if col < self.n + self.m:
-                continue
             w_rows, s_cols, a_cols, _ = self._basis()
             coef = self.col_coef[col]
             if s_cols.size:
@@ -532,7 +529,7 @@ def solve(problem: LinearProgram, config: SolverConfig | None = None) -> LpSolut
 def _require_membership_shape(primal: LinearProgram) -> None:
     if primal.objective_sense is not ObjectiveSense.MINIMIZE:
         raise ValueError("membership primal must minimize")
-    if any(s is not ConstraintSense.GE for s in primal.constraint_senses):
+    if primal.constraint_senses.count(ConstraintSense.GE) != primal.n_rows:
         raise ValueError("membership primal must use >= rows")
     if not np.all(primal.rhs == -1.0):
         raise ValueError("membership primal must have rhs identically -1")

@@ -215,3 +215,22 @@ def test_solution_feasibility_on_random_instances():
         sol = solve(_membership_problem(points, p), config)
         if sol.status is LpStatus.OPTIMAL:
             assert np.all(points @ sol.primal >= -1.0 - config.feas_tol)
+
+
+@pytest.mark.parametrize("senses", [
+    (">=", ">="),
+    (ConstraintSense.GE, "<="),
+    (ConstraintSense.LE, ConstraintSense.EQ, None),
+])
+def test_constraint_senses_must_be_enum_values(senses):
+    m = len(senses)
+    with pytest.raises(ValueError, match="must be ConstraintSense values"):
+        LinearProgram(
+            objective=np.ones(2),
+            constraint_matrix=np.ones((m, 2)),
+            constraint_senses=senses,
+            rhs=np.zeros(m),
+            lower_bounds=np.zeros(2),
+            upper_bounds=np.ones(2),
+            objective_sense=ObjectiveSense.MINIMIZE,
+        )
