@@ -10,6 +10,11 @@ it does not.  Missing data enters through an observation mask; the
 constrained sample space holds every graph agreeing with the observed
 dyads.
 
+The model reads a graph only through g(y), so exact inference runs on
+the statistic histogram of a space: its distinct rows and how many
+graphs share each.  One enumeration builds it, a small memo keeps the
+last few spaces, and exact moments are sums over its few rows.
+
 Log-likelihood ratios between two parameter values are estimated from
 samples by the difference of two log-mean-exp terms, optionally with a
 scaling factor applied to the (centered) constrained rows; that factor
@@ -19,6 +24,7 @@ is how the hull machinery's minimum scaling factor enters estimation.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -38,6 +44,7 @@ __all__ = [
     "dyad_pairs",
     "statistics",
     "enumerate_statistics",
+    "statistic_histogram",
     "attainable_statistics",
     "exact_log_kappa",
     "exact_moments",
@@ -297,16 +304,57 @@ def enumerate_statistics(
         yield _chunk_statistics(dyads, stats, incidence, triples)
 
 
+def statistic_histogram(
+    stats: StatDef, n: int, mask: ObservationMask | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct statistic rows over the (possibly constrained) space, in
+    order of first appearance in enumerate_statistics, and the number of
+    graphs with each row as float64.
+
+    The likelihood reads a graph only through its row, so these two
+    arrays stand for the whole space.  The last few spaces asked for are
+    memoized on (stats, n, mask values); the arrays are read-only.
+    """
+    if mask is None:
+        return _histogram(stats, n, None)
+    return _histogram(
+        stats, n, (mask.observed_dyads.tobytes(), mask.observed_values.tobytes())
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def _histogram(stats: StatDef, n: int, mask_bytes) -> tuple[np.ndarray, np.ndarray]:
+    mask = None
+    if mask_bytes is not None:
+        dyads, values = (np.frombuffer(b, dtype=bool) for b in mask_bytes)
+        mask = ObservationMask(observed_dyads=dyads, observed_values=values)
+    counts: dict[tuple, int] = {}
+    for g in enumerate_statistics(stats, n, mask):
+        # Rows are small nonnegative integers, so within one chunk a
+        # mixed-radix index over the chunk's own span is a unique key.
+        low = g.min(axis=0)
+        offsets = (g - low).astype(np.int64)
+        keys = np.ravel_multi_index(offsets.T, tuple(offsets.max(axis=0) + 1))
+        _, first, tally = np.unique(keys, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        for row, count in zip(g[first[order]].tolist(), tally[order].tolist()):
+            key = tuple(row)
+            counts[key] = counts.get(key, 0) + count
+    rows = np.array(list(counts))
+    weights = np.array(list(counts.values()), dtype=np.float64)
+    rows.flags.writeable = False
+    weights.flags.writeable = False
+    return rows, weights
+
+
 def attainable_statistics(
     stats: StatDef, n: int, mask: ObservationMask | None = None
 ) -> np.ndarray:
     """Distinct statistic rows over the (possibly constrained) space, in
-    order of first appearance in enumerate_statistics."""
-    distinct: dict[tuple, np.ndarray] = {}
-    for g in enumerate_statistics(stats, n, mask):
-        for row in g:
-            distinct.setdefault(tuple(row.tolist()), row)
-    return np.array(list(distinct.values()))
+    order of first appearance: a writable copy of the rows of
+    statistic_histogram."""
+    rows, _ = statistic_histogram(stats, n, mask)
+    return rows.copy()
 
 
 def exact_moments(
@@ -314,37 +362,24 @@ def exact_moments(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Log normalizer, mean, and covariance of g by exact enumeration.
 
-    Streams the 2**k graphs of the (possibly constrained) space in
-    chunks, carrying max-shifted exponential sums so the result is
-    overflow-safe at any theta.
+    Sums over the rows of statistic_histogram, each weighted by its
+    graph count, with the exponent shifted by its maximum so the result
+    is overflow-safe at any theta; the covariance is summed about the
+    mean.  Repeated calls on one space reuse the memoized histogram.
     """
     th = numerics.as_vector(theta, "theta")
     if th.size != stats.dim:
         raise ValueError(f"theta has {th.size} entries, statistics have {stats.dim}")
 
-    shift = -math.inf
-    s0 = 0.0
-    s1 = np.zeros(stats.dim)
-    s2 = np.zeros((stats.dim, stats.dim))
-    for g in enumerate_statistics(stats, n, mask):
-        x = g @ th
-        top = float(x.max())
-        if top > shift:
-            if np.isfinite(shift):
-                rescale = math.exp(shift - top)
-                s0 *= rescale
-                s1 *= rescale
-                s2 *= rescale
-            shift = top
-        w = np.exp(x - shift)
-        s0 += float(w.sum())
-        s1 += w @ g
-        s2 += (g * w[:, None]).T @ g
-
-    log_kappa = shift + math.log(s0)
-    mean = s1 / s0
-    cov = s2 / s0 - np.outer(mean, mean)
-    return log_kappa, mean, cov
+    rows, counts = statistic_histogram(stats, n, mask)
+    x = rows @ th
+    shift = float(x.max())
+    w = counts * np.exp(x - shift)
+    total = float(w.sum())
+    mean = (w @ rows) / total
+    dev = rows - mean
+    cov = (dev.T * w) @ dev / total
+    return shift + math.log(total), mean, cov
 
 
 def exact_log_kappa(

@@ -517,13 +517,18 @@ class _Simplex:
 def solve(problem: LinearProgram, config: SolverConfig | None = None) -> LpSolution:
     """Solve a dense LP; deterministic for identical inputs.
 
-    Raises IterationLimitError when the pivot budget runs out and
-    ArithmeticError when the final basis fails its feasibility check.
+    Raises IterationLimitError when the pivot budget runs out, and
+    ArithmeticError when the final basis fails its feasibility check or
+    a basis turns out numerically singular (the numpy LinAlgError is
+    chained as its cause, so it is not mistaken for bad input).
     """
     if not isinstance(problem, LinearProgram):
         raise TypeError("problem must be a LinearProgram")
     cfg = config or SolverConfig()
-    return _Simplex(problem, cfg).solve()
+    try:
+        return _Simplex(problem, cfg).solve()
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"simplex basis solve failed: {exc}") from exc
 
 
 def _require_membership_shape(primal: LinearProgram) -> None:

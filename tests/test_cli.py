@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
 
+from hullmle import cli
 from hullmle.cli import main, parse_document, render_document
 from hullmle.estimate import EstimatorConfig, iterate_until_contained
 from hullmle.expfam import Graph, ObservationMask, StatDef
@@ -164,6 +165,18 @@ def test_csv_parse_error_names_line(triangle_file, tmp_path, capsys):
 def test_missing_file_is_a_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "hull-test", str(tmp_path / "nope.csv"), str(tmp_path / "p.csv"))
     assert code == 65
+
+
+def test_solver_arithmetic_error_is_internal_not_data(triangle_file, tmp_path, capsys,
+                                                      monkeypatch):
+    def failing(target, point, config=None):
+        raise ArithmeticError("simplex basis solve failed: Singular matrix")
+
+    monkeypatch.setattr(cli, "query", failing)
+    point = point_file(tmp_path, "p.csv", [1.0, 0.0])
+    code, _, err = run(capsys, "hull-test", triangle_file, point)
+    assert code == 70
+    assert "Singular matrix" in err
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ from hullmle.expfam import (
     loglik_ratio_grad,
     loglik_ratio_hat,
     mcmc_sample,
+    statistic_histogram,
     statistics,
 )
+from hullmle import expfam
 
 from conftest import masked_k4_instance
 
@@ -168,20 +170,27 @@ def masked_n5():
     return 5, ObservationMask.from_graph(graph, observed)
 
 
+def seam_space():
+    """n = 7 with 17 free dyads: two enumeration chunks."""
+    observed = np.zeros(21, dtype=bool)
+    observed[:4] = True
+    return 7, ObservationMask.from_graph(Graph.complete(7), observed)
+
+
+def per_code_rows(stats, n, mask):
+    k = n * (n - 1) // 2 if mask is None else mask.n_free
+    return [statistics(graph_of_code(n, mask, c), stats) for c in range(1 << k)]
+
+
 @pytest.mark.parametrize("n, mask", [(4, None), masked_n5()], ids=["n4", "n5-masked"])
 def test_enumerate_statistics_concatenates_to_per_code_rows(n, mask):
     rows = np.concatenate(list(enumerate_statistics(EST, n, mask)))
-    k = n * (n - 1) // 2 if mask is None else mask.n_free
-    expected = [statistics(graph_of_code(n, mask, c), EST) for c in range(1 << k)]
-    assert np.array_equal(rows, expected)
+    assert np.array_equal(rows, per_code_rows(EST, n, mask))
 
 
 def test_enumerate_statistics_chunks_in_code_order():
-    # 17 free dyads: two full chunks, checked across their seam.
-    n = 7
-    observed = np.zeros(21, dtype=bool)
-    observed[:4] = True
-    mask = ObservationMask.from_graph(Graph.complete(n), observed)
+    # Two full chunks, checked across their seam.
+    n, mask = seam_space()
     blocks = list(enumerate_statistics(ET, n, mask))
     assert [b.shape for b in blocks] == [(1 << 16, 2), (1 << 16, 2)]
     rows = np.concatenate(blocks)
@@ -191,12 +200,135 @@ def test_enumerate_statistics_chunks_in_code_order():
 
 @pytest.mark.parametrize("n, mask", [(4, None), masked_n5()], ids=["n4", "n5-masked"])
 def test_attainable_statistics_in_first_appearance_order(n, mask):
-    k = n * (n - 1) // 2 if mask is None else mask.n_free
     expected = {}
-    for c in range(1 << k):
-        row = statistics(graph_of_code(n, mask, c), EST)
+    for row in per_code_rows(EST, n, mask):
         expected.setdefault(tuple(row), row)
     assert np.array_equal(attainable_statistics(EST, n, mask), list(expected.values()))
+
+
+# ---------------------------------------------------------------------------
+# statistic histogram
+
+@pytest.mark.parametrize("n, mask", [(4, None), masked_n5()], ids=["n4", "n5-masked"])
+def test_histogram_counts_graphs_per_row(n, mask):
+    rows, counts = statistic_histogram(EST, n, mask)
+    expected = {}
+    for row in per_code_rows(EST, n, mask):
+        expected[tuple(row)] = expected.get(tuple(row), 0) + 1
+    assert np.array_equal(rows, list(expected))
+    assert counts.dtype == np.float64
+    assert counts.tolist() == list(expected.values())
+    k = n * (n - 1) // 2 if mask is None else mask.n_free
+    assert counts.sum() == 2.0**k
+    assert np.array_equal(rows, attainable_statistics(EST, n, mask))
+
+
+def test_histogram_merges_rows_across_the_chunk_seam():
+    n, mask = seam_space()
+    rows, counts = statistic_histogram(ET, n, mask)
+    assert counts.sum() == 2.0**17
+    assert np.array_equal(rows, attainable_statistics(ET, n, mask))
+    every = np.concatenate(list(enumerate_statistics(ET, n, mask)))
+    distinct, tally = np.unique(every, axis=0, return_counts=True)
+    order = np.lexsort(rows.T[::-1])
+    assert np.array_equal(rows[order], distinct)
+    assert np.array_equal(counts[order], tally)
+
+
+def oracle_moments(stats, theta, n, mask):
+    """Log normalizer, mean and covariance from the per-code rows, with
+    correctly rounded sums about the largest exponent."""
+    rows = np.array(per_code_rows(stats, n, mask))
+    x = rows @ theta
+    top = x.max()
+    u = np.exp(x - top)
+    total = math.fsum(u)
+    mean = np.array([math.fsum(u * col) / total for col in rows.T])
+    dev = rows - mean
+    cov = np.array([[math.fsum(u * a * b) / total for b in dev.T] for a in dev.T])
+    return top + math.log(total), mean, cov
+
+
+def assert_close(got, want, rtol=1e-12):
+    assert np.all(np.abs(got - want) <= rtol * np.abs(want)), (got, want)
+
+
+def assert_cov_close(got, want, rtol=1e-12):
+    # Covariances are compared on the scale of their standard deviations:
+    # an entry may sit at 0 with both variances positive.
+    sd = np.sqrt(np.diag(want))
+    scale = np.outer(sd, sd)
+    assert np.all(np.abs(got - want) <= rtol * scale), (got, want)
+
+
+MODERATE = [np.array([0.3, -0.2, 0.15]), np.array([-0.8, 0.1, 0.6])]
+EXTREME = [40.0 * np.array(signs) for signs in itertools.product((1, -1), repeat=3)]
+
+
+@pytest.mark.parametrize("n, mask", [(4, None), (5, None), masked_n5()],
+                         ids=["n4", "n5", "n5-masked"])
+@pytest.mark.parametrize("theta", MODERATE + EXTREME, ids=lambda t: ",".join(map(str, t)))
+def test_exact_moments_match_per_code_oracle(n, mask, theta):
+    log_kappa, mean, cov = exact_moments(EST, theta, n, mask)
+    want_kappa, want_mean, want_cov = oracle_moments(EST, theta, n, mask)
+    assert_close(log_kappa, want_kappa)
+    assert_close(mean, want_mean)
+    assert_cov_close(cov, want_cov)
+
+
+@pytest.mark.parametrize("theta", MODERATE + EXTREME, ids=lambda t: ",".join(map(str, t)))
+def test_exact_loglik_matches_per_code_oracle(theta):
+    n, mask = masked_n5()
+    graph = Graph(n=n, edges=mask.observed_values)
+    full = oracle_moments(EST, theta, n, None)[0]
+    constrained = oracle_moments(EST, theta, n, mask)[0]
+    assert_close(exact_loglik(EST, theta, graph, mask), constrained - full)
+    g = statistics(graph, EST)
+    assert_close(exact_loglik(EST, theta, graph), float(theta @ g) - full)
+
+
+def test_histogram_memo_tells_masks_apart_by_values():
+    n, mask = masked_n5()
+    flipped = mask.observed_values.copy()
+    flipped[np.flatnonzero(mask.observed_dyads)[0]] ^= True
+    other = ObservationMask(observed_dyads=mask.observed_dyads, observed_values=flipped)
+    rows, counts = statistic_histogram(EST, n, mask)
+    other_rows, other_counts = statistic_histogram(EST, n, other)
+    assert not np.array_equal(rows, other_rows)
+    assert other_counts.sum() == counts.sum() == 2.0**mask.n_free
+    expected = {tuple(row): row for row in per_code_rows(EST, n, other)}
+    assert np.array_equal(other_rows, list(expected.values()))
+
+
+def test_histogram_arrays_are_read_only_and_attainable_rows_a_copy():
+    rows, counts = statistic_histogram(ET, 4)
+    for arr in (rows, counts):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 99.0
+    attainable = attainable_statistics(ET, 4)
+    assert attainable.flags.writeable
+    attainable[0] = 99.0
+    assert not np.array_equal(statistic_histogram(ET, 4)[0], attainable)
+
+
+def test_exact_moments_enumerate_each_space_once(monkeypatch):
+    calls = []
+    original = expfam.enumerate_statistics
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(expfam, "enumerate_statistics", counting)
+    expfam._histogram.cache_clear()
+    graph, mask = masked_k4_instance()
+    for k in range(10):
+        exact_moments(ET, np.array([0.1 * k, -0.2]), 5, mask)
+    assert len(calls) == 1
+    for k in range(10):
+        exact_moments(ET, np.array([0.1 * k, -0.2]), 5)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Row generation in hull.query: route selection, the Unbounded round,
 and a differential sweep against the all-rows LP, the dual LP and HiGHS."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -161,3 +163,18 @@ def test_row_generation_matches_highs():
                       bounds=[(None, None)] * d, method="highs-ds")
         assert res.status == 0
         assert _same_gamma(verdict.gamma, -1.0 / res.fun, 1e-6)
+
+
+def test_singular_basis_is_an_arithmetic_error(monkeypatch):
+    # Instance 191 of the sweep drawn at half the threshold: 301 duplicated
+    # and nudged rows in 5 columns, a point 1e-9 off the boundary.  The
+    # all-rows simplex meets a singular basis there.
+    with monkeypatch.context() as patch:
+        patch.setattr(hull, "ROW_GENERATION_FACTOR", 50)
+        target, point = next(itertools.islice(_sweep(), 191, None))
+    assert target.points.shape == (301, 5)
+    with pytest.raises(ArithmeticError) as info:
+        query(target, point)
+    assert not isinstance(info.value, ValueError)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    assert query_dual(target, point).status is HullStatus.BOUNDARY
