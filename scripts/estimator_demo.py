@@ -94,11 +94,13 @@ def main():
     elapsed = time.perf_counter() - tick
 
     finals = np.array(finals)
-    mean = finals.mean(axis=0)
-    sd = finals.std(axis=0, ddof=1)
     print(f"\nconverged runs: {len(finals)}/{args.sweep}  ({elapsed:.2f}s)")
-    print(f"mean final theta:  ({mean[0]:+.4f}, {mean[1]:+.4f})")
-    print(f"cross-run std dev: ({sd[0]:.4f}, {sd[1]:.4f})")
+    if len(finals) >= 1:
+        mean = finals.mean(axis=0)
+        print(f"mean final theta:  ({mean[0]:+.4f}, {mean[1]:+.4f})")
+    if len(finals) >= 2:
+        sd = finals.std(axis=0, ddof=1)
+        print(f"cross-run std dev: ({sd[0]:.4f}, {sd[1]:.4f})")
     print(f"exact maximizer:   ({exact[0]:+.4f}, {exact[1]:+.4f})")
 
 

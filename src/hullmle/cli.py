@@ -1,5 +1,4 @@
-"""Command line front end for hull queries, scaling curves, benchmarks,
-and the estimator demo.
+"""Command line front end for hull queries, scaling curves and estimation.
 
 Every command writes one structured document to standard output and
 diagnostics to standard error.  Documents are JSON-shaped with two
@@ -23,7 +22,7 @@ import sys
 import time
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
+from numpy.random import SeedSequence
 
 from . import __version__
 from .batch import make_test_set, min_scale, mahalanobis_prune, prune_curve
@@ -253,7 +252,6 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         feas_tol=args.feas_tol,
         pivot_tol=args.pivot_tol,
-        duality_tol=args.duality_tol,
         boundary_tol=args.boundary_tol,
     )
 
@@ -393,39 +391,6 @@ def cmd_prune_curve(args) -> int:
     return 0
 
 
-def cmd_benchmark(args) -> int:
-    started = time.perf_counter()
-    if args.n < 1 or args.d < 1:
-        raise CliError(EXIT_USAGE, "--n and --d must be positive")
-    config = _solver_config(args)
-    trials = []
-    for trial in range(args.trials):
-        rng = default_rng(SeedSequence(args.seed, spawn_key=(trial,)))
-        points = rng.random((args.n, args.d))
-        tick = time.perf_counter()
-        target = make_target_set(points)
-        verdict = query(target, np.ones(args.d), config=config)
-        seconds = time.perf_counter() - tick
-        if not math.isfinite(verdict.gamma) or verdict.gamma >= 1.0:
-            raise CliError(
-                EXIT_INTERNAL,
-                f"trial {trial}: cube corner should scale by less than 1, got {verdict.gamma}",
-            )
-        trials.append(
-            {"trial": trial, "gamma": verdict.gamma, "status": verdict.status.value,
-             "seconds": seconds}
-        )
-    doc = {
-        "manifest": _manifest("benchmark", args, args.seed, started),
-        "result": {
-            "trials": trials,
-            "meanGamma": float(np.mean([t["gamma"] for t in trials])),
-        },
-    }
-    _emit(doc)
-    return 0
-
-
 def _stat_def(spec: str) -> StatDef:
     names = [tok.strip() for tok in spec.split(",") if tok.strip()]
     try:
@@ -553,8 +518,6 @@ def _add_solver_flags(parser) -> None:
                        help="feasibility tolerance (default 1e-7)")
     group.add_argument("--pivot-tol", type=float, default=1e-9,
                        help="pivot threshold (default 1e-9)")
-    group.add_argument("--duality-tol", type=float, default=1e-7,
-                       help="relative duality gap tolerance (default 1e-7)")
     group.add_argument("--boundary-tol", type=float, default=1e-7,
                        help="relative boundary classification tolerance (default 1e-7)")
 
@@ -616,14 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_threads_flag(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_prune_curve)
-
-    p = sub.add_parser("benchmark", help="uniform-cube corner query timings")
-    p.add_argument("--n", type=int, default=100_000, help="points per trial (default 100000)")
-    p.add_argument("--d", type=int, default=20, help="dimension (default 20)")
-    p.add_argument("--trials", type=int, default=1, help="independent trials (default 1)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    _add_solver_flags(p)
-    p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("estimate", help="containment-driven parameter stepping")
     p.add_argument("graph", help="edge list: vertex count line, then 1-based 'i j' lines")

@@ -58,7 +58,7 @@ class OptimizationError(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Knobs of the outer loop and the inner maximizer.
+    """Knobs of the outer loop.
 
     safety_factor shrinks the hull multiplier before it is applied, so
     the effective rescaling keeps test points strictly interior;
@@ -72,8 +72,6 @@ class EstimatorConfig:
     safety_factor: float = 0.9
     stop_threshold: float = 1.11
     max_outer_iterations: int = 20
-    gradient_tol: float = 1e-8
-    max_inner_iterations: int = 500
     mcmc_interval: int | None = None
     seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -83,11 +81,9 @@ class EstimatorConfig:
             raise ValueError("safety factor must be in (0, 1)")
         if self.stop_threshold <= 1.0:
             raise ValueError("stop threshold must exceed 1")
-        for name in ("r_target", "s_test", "max_outer_iterations", "max_inner_iterations"):
+        for name in ("r_target", "s_test", "max_outer_iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if self.gradient_tol <= 0.0:
-            raise ValueError("gradient tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -117,7 +113,13 @@ class EstimatorTrace:
         return [record.multiplier for record in self.iterations]
 
 
-def _maximize(value, grad, x0, gradient_tol, max_iterations, restart_rng):
+# The inner maximizer stops once the gradient norm reaches STEP_GRADIENT_TOL
+# and gives up after STEP_MAX_ITERATIONS quasi-Newton iterations.
+STEP_GRADIENT_TOL = 1e-8
+STEP_MAX_ITERATIONS = 500
+
+
+def _maximize(value, grad, x0, restart_rng):
     """Quasi-Newton ascent with backtracking; one random restart.
 
     Maintains an inverse-Hessian approximation via rank-two secant
@@ -130,9 +132,9 @@ def _maximize(value, grad, x0, gradient_tol, max_iterations, restart_rng):
     h = np.eye(x.size)
     g = grad(x)
     restarted = False
-    for _ in range(max_iterations):
+    for _ in range(STEP_MAX_ITERATIONS):
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= gradient_tol:
+        if gnorm <= STEP_GRADIENT_TOL:
             return x
         direction = h @ g
         if float(direction @ g) <= 0.0:
@@ -174,7 +176,7 @@ def _maximize(value, grad, x0, gradient_tol, max_iterations, restart_rng):
         g = g_new
 
     gnorm = float(np.linalg.norm(grad(x)))
-    if gnorm > gradient_tol:
+    if gnorm > STEP_GRADIENT_TOL:
         raise OptimizationError(
             "inner iteration limit reached", last_iterate=x, gradient_norm=gnorm
         )
@@ -198,8 +200,6 @@ def rescaled_step(theta0, g_y, g_z, scale: float, cfg: EstimatorConfig) -> np.nd
         value=lambda dt: loglik_ratio_hat(dt, g_y, g_z, effective),
         grad=lambda dt: loglik_ratio_grad(dt, g_y, g_z, effective),
         x0=np.zeros(theta.size),
-        gradient_tol=cfg.gradient_tol,
-        max_iterations=cfg.max_inner_iterations,
         restart_rng=restart_rng,
     )
     return theta + dtheta

@@ -292,6 +292,11 @@ def query_original_lp(
     hull.  The box constraints can clip the hyperplane short of the one
     supporting the true boundary crossing, which is why the free form
     in query is the production route.
+
+    It solves every row at once, with no row generation, so it is a
+    cross-check for small targets only: on a 3000x20 standard-normal
+    target phase one exhausts the default pivot budget and raises
+    IterationLimitError after 151,051 pivots.
     """
     cfg = config or SolverConfig()
     p = _centered_point(target, point)

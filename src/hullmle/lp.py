@@ -214,8 +214,8 @@ class _Simplex:
         # Start from the all-slack basis; rows whose residual violates the
         # slack bounds get an artificial unit column signed like the
         # violation, so artificials start basic and nonnegative.
-        self.status = struct_status  # read by _nonbasic_struct_values
-        resid = self.b - self.A @ self._nonbasic_struct_values()
+        self.status = struct_status  # read by _nonbasic_values
+        resid = self.b - self.A @ self._nonbasic_values(slice(0, n))
         fits = (self.lo[n:] <= resid) & (resid <= self.hi[n:])
         above = resid > self.hi[n:]
         art_rows = np.flatnonzero(~fits)
@@ -250,22 +250,15 @@ class _Simplex:
 
     # -- value bookkeeping -------------------------------------------------
 
-    def _nonbasic_struct_values(self) -> np.ndarray:
-        stat = self.status[: self.n]
+    def _nonbasic_values(self, cols: slice) -> np.ndarray:
+        """Values of the columns in cols: nonbasic ones sit at their
+        bound, free and basic ones read 0."""
+        stat = self.status[cols]
         return np.where(
             stat == _AT_LOWER,
-            self.lo[: self.n],
-            np.where(stat == _AT_UPPER, self.hi[: self.n], 0.0),
+            self.lo[cols],
+            np.where(stat == _AT_UPPER, self.hi[cols], 0.0),
         )
-
-    def _nonbasic_slack_values(self) -> np.ndarray:
-        stat = self.status[self.n : self.n + self.m]
-        lo = self.lo[self.n : self.n + self.m]
-        hi = self.hi[self.n : self.n + self.m]
-        vals = np.zeros(self.m)
-        vals[stat == _AT_LOWER] = lo[stat == _AT_LOWER]
-        vals[stat == _AT_UPPER] = hi[stat == _AT_UPPER]
-        return vals
 
     def _basis(self):
         """Current basis split: rows covered by structurals, basic
@@ -278,21 +271,26 @@ class _Simplex:
         u_rows = np.flatnonzero(self.unit_col >= 0)
         return w_rows, s_cols, a_cols, u_rows
 
+    def _split_solve(self, v, w_rows, s_cols, a_cols, u_rows):
+        """Solve B z = v, split into (structural part, unit part by row)."""
+        if s_cols.size:
+            z_s = np.linalg.solve(a_cols[w_rows], v[w_rows])
+        else:
+            z_s = np.zeros(0)
+        z_u = np.zeros(self.m)
+        if u_rows.size:
+            part = v[u_rows]
+            if s_cols.size:
+                part = part - a_cols[u_rows] @ z_s
+            z_u[u_rows] = part / self.col_coef[self.unit_col[u_rows]]
+        return z_s, z_u
+
     def _basic_values(self, w_rows, s_cols, a_cols, u_rows):
         """Solve for every basic value from scratch; no incremental drift."""
-        resid = self.b - self.A @ self._nonbasic_struct_values()
-        resid -= self._nonbasic_slack_values()
-        if s_cols.size:
-            x_s = np.linalg.solve(a_cols[w_rows], resid[w_rows])
-        else:
-            x_s = np.zeros(0)
-        unit_vals = np.zeros(self.m)
-        if u_rows.size:
-            part = resid[u_rows]
-            if s_cols.size:
-                part = part - a_cols[u_rows] @ x_s
-            unit_vals[u_rows] = part / self.col_coef[self.unit_col[u_rows]]
-        return x_s, unit_vals
+        n, m = self.n, self.m
+        resid = self.b - self.A @ self._nonbasic_values(slice(0, n))
+        resid -= self._nonbasic_values(slice(n, n + m))
+        return self._split_solve(resid, w_rows, s_cols, a_cols, u_rows)
 
     def _duals(self, costs, w_rows, s_cols, a_cols, u_rows) -> np.ndarray:
         y = np.zeros(self.m)
@@ -313,17 +311,7 @@ class _Simplex:
         else:
             a = np.zeros(self.m)
             a[self.col_row[col]] = self.col_coef[col]
-        if s_cols.size:
-            w_s = np.linalg.solve(a_cols[w_rows], a[w_rows])
-        else:
-            w_s = np.zeros(0)
-        w_u = np.zeros(self.m)
-        if u_rows.size:
-            part = a[u_rows]
-            if s_cols.size:
-                part = part - a_cols[u_rows] @ w_s
-            w_u[u_rows] = part / self.col_coef[self.unit_col[u_rows]]
-        return w_s, w_u
+        return self._split_solve(a, w_rows, s_cols, a_cols, u_rows)
 
     # -- pivot selection -----------------------------------------------------
 
@@ -436,8 +424,7 @@ class _Simplex:
         ray = np.zeros(self.n)
         if e < self.n:
             ray[e] = sigma
-        for idx, col in enumerate(s_cols):
-            ray[col] -= sigma * w_s[idx]
+        ray[s_cols] -= sigma * w_s
         return ray
 
     def _evict_artificials(self) -> None:
@@ -491,10 +478,8 @@ class _Simplex:
 
         w_rows, s_cols, a_cols, u_rows = self._basis()
         x_s, unit_vals = self._basic_values(w_rows, s_cols, a_cols, u_rows)
-        x = self._nonbasic_struct_values()
-        x[self.status[:n] == _BASIC] = 0.0
-        for idx, col in enumerate(s_cols):
-            x[col] = x_s[idx]
+        x = self._nonbasic_values(slice(0, n))
+        x[s_cols] = x_s
         self._check_feasible(x)
         value = float(self.c_struct @ x)
         if self.flip:

@@ -152,17 +152,15 @@ def squared_distances(rows, cov_inverse: CovarianceInverse) -> np.ndarray:
     return np.sum(w * w, axis=0)
 
 
-def rank(points, tol: float = RANK_TOL) -> int:
+def rank(points) -> int:
     """Numerical rank of the centered point set.
 
-    Singular values below tol times the largest count as zero, so a
+    Singular values below RANK_TOL times the largest count as zero, so a
     single repeated row (or any set of identical rows) has rank zero.
     """
     arr = as_matrix(points)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     centered = arr - arr.mean(axis=0)
     sigma = np.linalg.svd(centered, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sigma > tol * sigma[0]))
+    return int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))

@@ -3,7 +3,6 @@ import re
 
 import numpy as np
 import pytest
-from numpy.random import SeedSequence, default_rng
 
 from hullmle import cli
 from hullmle.cli import main, parse_document, render_document
@@ -116,6 +115,19 @@ def test_hull_test_boundary(triangle_file, tmp_path, capsys):
     assert parse_document(out)["result"]["status"] == "Boundary"
 
 
+def test_hull_test_boundary_tol_reaches_the_solver(triangle_file, tmp_path, capsys):
+    # gamma = 1 / (1 + 1e-4): Exterior at the default band, Boundary in a wide one
+    point = point_file(tmp_path, "p.csv", [1.5 * (1.0 + 1e-4), 0.0])
+    code, out, _ = run(capsys, "hull-test", triangle_file, point)
+    assert code == 1
+    assert parse_document(out)["result"]["status"] == "Exterior"
+    code, out, _ = run(capsys, "hull-test", triangle_file, point, "--boundary-tol", "1e-3")
+    assert code == 2
+    doc = parse_document(out)
+    assert doc["result"]["status"] == "Boundary"
+    assert doc["manifest"]["parameters"]["boundary_tol"] == 1e-3
+
+
 def test_hull_test_degenerate(tmp_path, capsys):
     target = tmp_path / "line.csv"
     target.write_text("-1,0\n1,0\n2,0\n")
@@ -213,6 +225,19 @@ def test_min_scale_document(triangle_file, tmp_path, capsys):
     assert result["targetPointsUsed"] == 3
 
 
+def test_min_scale_echoes_solver_tolerances(triangle_file, tmp_path, capsys):
+    tests = write_tests(tmp_path)
+    _, default_out, _ = run(capsys, "min-scale", triangle_file, tests)
+    code, out, _ = run(capsys, "min-scale", triangle_file, tests,
+                       "--feas-tol", "1e-6", "--pivot-tol", "1e-10")
+    assert code == 1
+    doc = parse_document(out)
+    parameters = doc["manifest"]["parameters"]
+    assert parameters["feas_tol"] == 1e-6
+    assert parameters["pivot_tol"] == 1e-10
+    assert doc["result"] == parse_document(default_out)["result"]
+
+
 def test_min_scale_deterministic_modulo_duration(triangle_file, tmp_path, capsys):
     tests = write_tests(tmp_path)
     _, first, _ = run(capsys, "min-scale", triangle_file, tests)
@@ -281,33 +306,6 @@ def test_prune_curve_rejects_bad_fractions(triangle_file, tmp_path, capsys):
                        "--fractions", "1.0,half")
     assert code == 64
     assert "fraction" in err
-
-
-# ---------------------------------------------------------------------------
-# benchmark
-
-def test_benchmark_small(capsys):
-    code, out, _ = run(capsys, "benchmark", "--n", "200", "--d", "3",
-                       "--trials", "2", "--seed", "7")
-    assert code == 0
-    doc = parse_document(out)
-    assert doc["manifest"]["seed"] == 7
-    trials = doc["result"]["trials"]
-    assert [t["trial"] for t in trials] == [0, 1]
-    for t in trials:
-        assert 0.0 < t["gamma"] < 1.0
-
-    rng = default_rng(SeedSequence(7, spawn_key=(0,)))
-    points = rng.random((200, 3))
-    expected = query(make_target_set(points), np.ones(3))
-    assert trials[0]["gamma"] == expected.gamma
-    mean = doc["result"]["meanGamma"]
-    assert mean == pytest.approx(np.mean([t["gamma"] for t in trials]), rel=1e-15)
-
-
-def test_benchmark_rejects_bad_sizes(capsys):
-    code, _, err = run(capsys, "benchmark", "--n", "0")
-    assert code == 64
 
 
 # ---------------------------------------------------------------------------
