@@ -23,7 +23,6 @@ def main():
         "--fractions", type=float, nargs="+", default=[0.25, 0.5, 0.75, 1.0]
     )
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args()
 
     rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(0,)))
@@ -40,7 +39,7 @@ def main():
     for fraction in sorted(args.fractions):
         kept = mahalanobis_prune(target, fraction)
         tick = time.perf_counter()
-        report = min_scale(kept, tests, threads=args.threads)
+        report = min_scale(kept, tests)
         elapsed = time.perf_counter() - tick
         rows.append((fraction, kept.n_points, report.min_scale, elapsed))
         print(

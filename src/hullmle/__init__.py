@@ -35,7 +35,6 @@ from .expfam import (
     StatDef,
     StatMatrix,
     StatTerm,
-    attainable_statistics,
     demonstrate_unbounded,
     dyad_pairs,
     enumerate_statistics,
@@ -102,7 +101,6 @@ __all__ = [
     "StatTerm",
     "TargetSet",
     "TestSet",
-    "attainable_statistics",
     "demonstrate_unbounded",
     "dyad_pairs",
     "enumerate_statistics",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .hull import HullStatus, SolverConfig, TargetSet, query
+from .hull import HullStatus, HullVerdict, SolverConfig, TargetSet, query
 
 __all__ = [
     "TestSet",
@@ -53,12 +53,15 @@ class ScaleReport:
     the open hull, so no common rescaling short of min_scale brings the
     whole set strictly inside.  any_degenerate flags individual queries
     that could not produce a finite factor; those contribute +inf.
+    argmin_verdict is the query verdict of the argmin point, so callers
+    need not solve that point again.
     """
 
     min_scale: float
     per_point_scales: np.ndarray
     argmin: int
     any_degenerate: bool
+    argmin_verdict: HullVerdict
 
 
 def make_test_set(raw) -> TestSet:
@@ -73,9 +76,11 @@ def min_scale(
 ) -> ScaleReport:
     """Smallest per-point boundary scaling factor over the test set.
 
-    Queries are independent, so they optionally run on a thread pool;
-    the report is assembled by point index either way.  A rank-deficient
-    target is rejected outright since every query would be Degenerate.
+    Queries run one after another.  threads > 1 runs them on a thread
+    pool instead; its only caller is the threaded re-timing in
+    perfbench/harness.py.  The report is assembled by point index either
+    way.  A rank-deficient target is rejected outright since every query
+    would be Degenerate.
     """
     cfg = config or SolverConfig()
     if tests.n_points < 1:
@@ -85,27 +90,25 @@ def min_scale(
             "target set is rank-deficient; every query would be Degenerate"
         )
 
-    def one(row) -> tuple[float, bool]:
-        verdict = query(target, row, cfg)
-        if verdict.status is HullStatus.DEGENERATE:
-            return math.inf, True
-        return verdict.gamma, False
+    def one(row) -> HullVerdict:
+        return query(target, row, cfg)
 
     rows = list(tests.points)
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, rows))
+            verdicts = list(pool.map(one, rows))
     else:
-        outcomes = [one(row) for row in rows]
+        verdicts = [one(row) for row in rows]
 
-    scales = np.array([g for g, _ in outcomes])
-    any_degenerate = any(flag for _, flag in outcomes)
+    # A Degenerate verdict's gamma is +inf.
+    scales = np.array([v.gamma for v in verdicts])
     argmin = int(np.argmin(scales))
     return ScaleReport(
         min_scale=float(scales[argmin]),
         per_point_scales=scales,
         argmin=argmin,
-        any_degenerate=any_degenerate,
+        any_degenerate=any(v.status is HullStatus.DEGENERATE for v in verdicts),
+        argmin_verdict=verdicts[argmin],
     )
 
 
@@ -155,7 +158,6 @@ def prune_curve(
     tests: TestSet,
     fractions,
     config: SolverConfig | None = None,
-    threads: int | None = None,
 ) -> list[tuple[float, float]]:
     """min_scale at each kept fraction, sharing one depth ordering.
 
@@ -164,7 +166,8 @@ def prune_curve(
     That reading assumes every query stays answerable; pruning hard
     enough that the kept hull no longer surrounds the centroid turns
     queries Degenerate, whose infinite gammas are placeholders rather
-    than scaling factors (min_scale raises anyDegenerate there).
+    than scaling factors (min_scale sets any_degenerate there, which the
+    curve does not carry).
     """
     fracs = [float(f) for f in fractions]
     if not fracs:
@@ -175,6 +178,6 @@ def prune_curve(
     curve = []
     for f in fracs:
         kept = _keep_count(f, target.n_points)
-        report = min_scale(_pruned(target, order, kept), tests, config, threads)
+        report = min_scale(_pruned(target, order, kept), tests, config)
         curve.append((f, report.min_scale))
     return curve

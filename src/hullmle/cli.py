@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -248,29 +247,28 @@ def read_mask(path: str, graph: Graph) -> ObservationMask:
 # ---------------------------------------------------------------------------
 # shared plumbing
 
+def _usage_checked(build, **kwargs):
+    """build(**kwargs), with a ValueError from the library's own flag
+    checks reported as a usage error."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, str(exc))
+
+
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
+    return _usage_checked(
+        SolverConfig,
         feas_tol=args.feas_tol,
         pivot_tol=args.pivot_tol,
         boundary_tol=args.boundary_tol,
     )
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        value = args.threads
-    else:
-        env = os.environ.get("HULLMLE_THREADS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError:
-                raise CliError(EXIT_USAGE, f"HULLMLE_THREADS is not an integer: {env!r}")
-        else:
-            value = os.cpu_count() or 1
-    if value < 1:
-        raise CliError(EXIT_USAGE, "thread count must be at least 1")
-    return value
+def _keep_fraction(f: float) -> float:
+    if not 0.0 < f <= 1.0:
+        raise CliError(EXIT_USAGE, f"keep fraction must be in (0, 1], got {f}")
+    return f
 
 
 def _target_from_file(path: str, centroid_mode: str):
@@ -336,6 +334,7 @@ def _verdict_result(verdict) -> dict:
 
 def cmd_hull_test(args) -> int:
     started = time.perf_counter()
+    config = _solver_config(args)
     target = _target_from_file(args.target, args.centroid)
     point = read_point(args.point)
     if point.size != target.dim:
@@ -343,7 +342,7 @@ def cmd_hull_test(args) -> int:
             EXIT_DATA,
             f"point has {point.size} coordinates, target points have {target.dim}",
         )
-    verdict = query(target, point, config=_solver_config(args))
+    verdict = query(target, point, config=config)
     doc = {
         "manifest": _manifest("hull-test", args, None, started),
         "result": _verdict_result(verdict),
@@ -354,12 +353,11 @@ def cmd_hull_test(args) -> int:
 
 def cmd_min_scale(args) -> int:
     started = time.perf_counter()
+    config = _solver_config(args)
     target, tests = _target_and_tests(args)
     if args.prune_fraction is not None:
-        target = mahalanobis_prune(target, args.prune_fraction)
-    config = _solver_config(args)
-    report = min_scale(target, tests, config=config, threads=_threads(args))
-    verdict = query(target, tests.points[report.argmin], config=config)
+        target = mahalanobis_prune(target, _keep_fraction(args.prune_fraction))
+    report = min_scale(target, tests, config=config)
     doc = {
         "manifest": _manifest("min-scale", args, None, started),
         "result": {
@@ -371,16 +369,17 @@ def cmd_min_scale(args) -> int:
         },
     }
     _emit(doc)
-    return _STATUS_EXIT[verdict.status]
+    return _STATUS_EXIT[report.argmin_verdict.status]
 
 
 def cmd_prune_curve(args) -> int:
     started = time.perf_counter()
+    config = _solver_config(args)
+    fractions = [_keep_fraction(f) for f in _floats(args.fractions, "fraction list")]
+    if not fractions:
+        raise CliError(EXIT_USAGE, "no fractions given")
     target, tests = _target_and_tests(args)
-    fractions = _floats(args.fractions, "fraction list")
-    curve = prune_curve(
-        target, tests, fractions, config=_solver_config(args), threads=_threads(args)
-    )
+    curve = prune_curve(target, tests, fractions, config=config)
     doc = {
         "manifest": _manifest("prune-curve", args, None, started),
         "result": {
@@ -415,8 +414,8 @@ def _model_inputs(args, theta_text: str | None, theta_flag: str):
 
 def cmd_estimate(args) -> int:
     started = time.perf_counter()
-    stats, graph, mask, theta0 = _model_inputs(args, args.theta0, "--theta0")
-    cfg = EstimatorConfig(
+    cfg = _usage_checked(
+        EstimatorConfig,
         r_target=args.r_target,
         s_test=args.s_test,
         safety_factor=args.safety_factor,
@@ -426,6 +425,7 @@ def cmd_estimate(args) -> int:
         seed=args.seed,
         solver=_solver_config(args),
     )
+    stats, graph, mask, theta0 = _model_inputs(args, args.theta0, "--theta0")
     try:
         trace = iterate_until_contained(stats, graph, mask, theta0, cfg)
     except ValueError as exc:
@@ -453,6 +453,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_demo_unbounded(args) -> int:
     started = time.perf_counter()
+    config = _solver_config(args)
     stats, graph, mask, theta = _model_inputs(args, args.theta, "--theta")
     alphas = _floats(args.alphas, "--alphas")
 
@@ -464,7 +465,6 @@ def cmd_demo_unbounded(args) -> int:
         stats, theta, graph.n, args.s_test,
         interval=args.interval, mask=mask, seed=SeedSequence(args.seed, spawn_key=(1,)),
     )
-    config = _solver_config(args)
     try:
         target = make_target_set(sample_y.rows)
     except ValueError as exc:
@@ -476,7 +476,7 @@ def cmd_demo_unbounded(args) -> int:
             f"constrained sample is contained (min scale {report.min_scale:.6g}); "
             "nothing unbounded to demonstrate",
         )
-    verdict = query(target, sample_z.rows[report.argmin], config=config)
+    verdict = report.argmin_verdict
     if verdict.status is not HullStatus.EXTERIOR:
         raise CliError(
             EXIT_DATA,
@@ -530,21 +530,24 @@ def _add_centroid_flag(parser) -> None:
     )
 
 
-def _add_threads_flag(parser) -> None:
-    parser.add_argument(
-        "--threads", type=int, default=None,
-        help="parallel hull queries (default: HULLMLE_THREADS or all cores)",
-    )
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
 
 
 def _add_sampler_flags(parser) -> None:
     parser.add_argument("--stats", default="edges,triangles",
                         help="comma list of graph statistics (default edges,triangles)")
-    parser.add_argument("--r-target", type=int, default=500,
+    parser.add_argument("--r-target", type=_positive_int, default=500,
                         help="unconstrained sample size (default 500)")
-    parser.add_argument("--s-test", type=int, default=100,
+    parser.add_argument("--s-test", type=_positive_int, default=100,
                         help="constrained sample size (default 100)")
-    parser.add_argument("--interval", type=int, default=None,
+    parser.add_argument("--interval", type=_positive_int, default=None,
                         help="steps between recorded graphs (default 10 per free dyad)")
     parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
 
@@ -566,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prune-fraction", type=float, default=None,
                    help="keep this central fraction of the target first")
     _add_centroid_flag(p)
-    _add_threads_flag(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_min_scale)
 
@@ -576,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", default=_DEFAULT_FRACTIONS,
                    help=f"comma list of keep fractions (default {_DEFAULT_FRACTIONS})")
     _add_centroid_flag(p)
-    _add_threads_flag(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_prune_curve)
 
@@ -589,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shrink applied to the containment multiplier (default 0.9)")
     p.add_argument("--stop-threshold", type=float, default=1.11,
                    help="multiplier that ends iteration (default 1.11)")
-    p.add_argument("--max-iterations", type=int, default=20,
+    p.add_argument("--max-iterations", type=_positive_int, default=20,
                    help="outer iteration cap (default 20)")
     _add_sampler_flags(p)
     _add_solver_flags(p)

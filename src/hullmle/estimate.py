@@ -23,11 +23,11 @@ from .expfam import (
     Graph,
     ObservationMask,
     StatDef,
-    attainable_statistics,
     exact_moments,
     loglik_ratio_grad,
     loglik_ratio_hat,
     mcmc_sample,
+    statistic_histogram,
     statistics,
 )
 from .hull import HullStatus, SolverConfig, make_target_set, query
@@ -310,8 +310,7 @@ def exact_mle(
     """
     mask = _estimation_mask(y_obs, mask)
     if mask.observed_dyads.all():
-        attainable = attainable_statistics(stats, y_obs.n)
-        hull_set = make_target_set(attainable)
+        hull_set = make_target_set(statistic_histogram(stats, y_obs.n)[0])
         verdict = query(hull_set, statistics(y_obs, stats))
         if verdict.status is not HullStatus.INTERIOR:
             raise NonexistentMle(

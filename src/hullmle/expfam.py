@@ -45,7 +45,6 @@ __all__ = [
     "statistics",
     "enumerate_statistics",
     "statistic_histogram",
-    "attainable_statistics",
     "exact_log_kappa",
     "exact_moments",
     "exact_loglik",
@@ -345,16 +344,6 @@ def _histogram(stats: StatDef, n: int, mask_bytes) -> tuple[np.ndarray, np.ndarr
     rows.flags.writeable = False
     weights.flags.writeable = False
     return rows, weights
-
-
-def attainable_statistics(
-    stats: StatDef, n: int, mask: ObservationMask | None = None
-) -> np.ndarray:
-    """Distinct statistic rows over the (possibly constrained) space, in
-    order of first appearance: a writable copy of the rows of
-    statistic_histogram."""
-    rows, _ = statistic_histogram(stats, n, mask)
-    return rows.copy()
 
 
 def exact_moments(

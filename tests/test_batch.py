@@ -7,7 +7,7 @@ from hullmle.batch import (
     min_scale,
     prune_curve,
 )
-from hullmle.hull import make_target_set
+from hullmle.hull import HullStatus, make_target_set, query
 
 from conftest import random_target
 
@@ -52,6 +52,31 @@ def test_min_scale_threaded_matches_serial():
         np.asarray(serial.per_point_scales), np.asarray(threaded.per_point_scales)
     )
     assert serial.argmin == threaded.argmin
+    assert serial.argmin_verdict.gamma == threaded.argmin_verdict.gamma
+
+
+def test_min_scale_hands_back_the_argmin_verdict(triangle):
+    tests = make_test_set(np.array([[0.1, 0.2], [3.0, 2.0], [1.0, 0.0]]))
+    report = min_scale(triangle, tests)
+    again = query(triangle, tests.points[report.argmin])
+    verdict = report.argmin_verdict
+    assert verdict.status is again.status is HullStatus.EXTERIOR
+    assert verdict.gamma == again.gamma == report.min_scale
+    assert verdict.hyperplane[0] == again.hyperplane[0]
+    assert np.array_equal(verdict.hyperplane[1], again.hyperplane[1])
+    assert np.array_equal(verdict.boundary_point, again.boundary_point)
+
+
+def test_min_scale_degenerate_argmin_verdict():
+    # The reference sits outside the hull of these rows and no ray from
+    # it toward either test point meets the hull, so both queries are
+    # Degenerate and contribute +inf.
+    target = make_target_set(np.array([[1.0, 0.0], [2.0, 1.0], [2.0, -1.0]]),
+                             centroid=np.zeros(2))
+    report = min_scale(target, make_test_set(np.array([[-1.0, 0.0], [0.0, 1.0]])))
+    assert report.any_degenerate
+    assert np.isinf(report.per_point_scales).all()
+    assert report.argmin_verdict.status is HullStatus.DEGENERATE
 
 
 def test_rescaling_invariance(triangle):
@@ -129,12 +154,3 @@ def test_prune_curve_monotone_in_fraction():
     assert values[-1] == pytest.approx(
         min_scale(target, tests).min_scale, rel=1e-12
     )
-
-
-def test_prune_curve_threads_do_not_change_results():
-    rng = np.random.default_rng(29)
-    target = make_target_set(rng.standard_normal((80, 2)))
-    tests = make_test_set(target.centroid + rng.standard_normal((5, 2)))
-    a = prune_curve(target, tests, [0.5, 1.0], threads=1)
-    b = prune_curve(target, tests, [0.5, 1.0], threads=3)
-    assert a == b

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hullmle import cli
+from hullmle import batch, cli
 from hullmle.cli import main, parse_document, render_document
 from hullmle.estimate import EstimatorConfig, iterate_until_contained
 from hullmle.expfam import Graph, ObservationMask, StatDef
@@ -265,25 +265,38 @@ def test_min_scale_prune_that_flattens_the_target_is_an_error(
     assert "rank-deficient" in err
 
 
-def test_min_scale_threads_flag_and_env(triangle_file, tmp_path, capsys, monkeypatch):
+def test_batch_commands_take_no_thread_count(triangle_file, tmp_path, capsys,
+                                             monkeypatch):
     tests = write_tests(tmp_path)
-    _, serial, _ = run(capsys, "min-scale", triangle_file, tests, "--threads", "1")
-    monkeypatch.setenv("HULLMLE_THREADS", "2")
-    _, threaded, _ = run(capsys, "min-scale", triangle_file, tests)
-    # parameters record the flag value, which differs; compare results
-    assert parse_document(serial)["result"] == parse_document(threaded)["result"]
-
+    for command in ("min-scale", "prune-curve"):
+        code, _, err = run(capsys, command, triangle_file, tests, "--threads", "2")
+        assert code == 64
+        assert "--threads" in err
     monkeypatch.setenv("HULLMLE_THREADS", "many")
-    code, _, err = run(capsys, "min-scale", triangle_file, tests)
-    assert code == 64
-    assert "HULLMLE_THREADS" in err
+    code, _, _ = run(capsys, "min-scale", triangle_file, tests)
+    assert code == 1
 
 
-def test_min_scale_rejects_nonpositive_threads(triangle_file, tmp_path, capsys):
-    code, _, err = run(capsys, "min-scale", triangle_file, write_tests(tmp_path),
-                       "--threads", "0")
-    assert code == 64
-    assert "thread count" in err
+def counted_queries(monkeypatch):
+    """Record every hull query the batch layer and the CLI solve."""
+    calls = []
+    for module in (batch, cli):
+        original = module.query
+
+        def counting(*args, _original=original, **kwargs):
+            calls.append(args[1])
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "query", counting)
+    return calls
+
+
+def test_min_scale_solves_each_test_point_once(triangle_file, tmp_path, capsys,
+                                               monkeypatch):
+    calls = counted_queries(monkeypatch)
+    code, _, _ = run(capsys, "min-scale", triangle_file, write_tests(tmp_path))
+    assert code == 1
+    assert len(calls) == 4
 
 
 def test_prune_curve_monotone(tmp_path, capsys):
@@ -306,6 +319,28 @@ def test_prune_curve_rejects_bad_fractions(triangle_file, tmp_path, capsys):
                        "--fractions", "1.0,half")
     assert code == 64
     assert "fraction" in err
+
+
+@pytest.mark.parametrize("command, argv, message", [
+    ("prune-curve", ("--fractions", "2"), "keep fraction must be in (0, 1], got 2.0"),
+    ("prune-curve", ("--fractions", ","), "no fractions given"),
+    ("min-scale", ("--prune-fraction", "0"), "keep fraction must be in (0, 1], got 0.0"),
+    ("estimate", ("--safety-factor", "2"), "safety factor must be in (0, 1)"),
+    ("estimate", ("--r-target", "0"), "--r-target: must be an integer of at least 1"),
+    ("estimate", ("--interval", "0"), "--interval: must be an integer of at least 1"),
+    ("min-scale", ("--feas-tol", "-1"), "feas_tol must be positive"),
+    ("demo-unbounded", ("--r-target", "0"), "--r-target: must be an integer of at least 1"),
+], ids=["fractions", "no-fractions", "prune-fraction", "safety-factor", "estimate-r-target",
+        "interval", "feas-tol", "demo-r-target"])
+def test_out_of_range_flag_values_are_usage_errors(
+        triangle_file, tmp_path, k4_files, capsys, command, argv, message):
+    if command in ("min-scale", "prune-curve"):
+        files = (triangle_file, write_tests(tmp_path))
+    else:
+        files = k4_files
+    code, _, err = run(capsys, command, *files, *argv)
+    assert code == 64
+    assert message in err
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +507,14 @@ def test_demo_unbounded_frozen_instance(k4_files, capsys):
     assert len(estimates) == 5
     assert all(b > a for a, b in zip(estimates, estimates[1:]))
     assert result["strictlyIncreasing"] is True
+
+
+def test_demo_unbounded_solves_each_test_point_once(k4_files, capsys, monkeypatch):
+    calls = counted_queries(monkeypatch)
+    code, _, _ = run(capsys, "demo-unbounded", *k4_files,
+                     "--r-target", "75", "--s-test", "25", "--seed", "0")
+    assert code == 0
+    assert len(calls) == 25
 
 
 def test_demo_unbounded_contained_case_is_an_error(tmp_path, capsys):

@@ -185,6 +185,33 @@ def test_iterate_scaled_tests_become_interior():
     assert rescaled.min_scale >= 1.0 + 1e-6
 
 
+T, F = True, False
+VARIANCE_CONDITION = {
+    0: [T, T], 1: [T], 2: [T, T], 3: [T, F, T], 4: [T, T, F, T, T],
+    5: [T, T, T], 7: [T], 8: [T, T, T, T], 9: [T, T],
+}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_iterate_variance_condition_per_iteration(seed):
+    graph, mask = masked_k4_instance()
+    if seed not in VARIANCE_CONDITION:
+        with pytest.raises(ValueError, match="rank-deficient"):
+            iterate_until_contained(ET, graph, mask, np.zeros(2), _k4_cfg(seed))
+        return
+    trace = iterate_until_contained(ET, graph, mask, np.zeros(2), _k4_cfg(seed))
+    got = [record.variance_condition_ok for record in trace.iterations]
+    assert got == VARIANCE_CONDITION[seed]
+
+
+def test_iterate_variance_condition_unknown_for_one_test_draw():
+    graph, mask = masked_k4_instance()
+    cfg = EstimatorConfig(r_target=75, s_test=1, safety_factor=0.7,
+                          max_outer_iterations=3, seed=0)
+    trace = iterate_until_contained(ET, graph, mask, np.zeros(2), cfg)
+    assert [record.variance_condition_ok for record in trace.iterations] == [None]
+
+
 def test_iterate_requires_some_observation():
     graph, _ = masked_k4_instance()
     nothing = ObservationMask(

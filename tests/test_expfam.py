@@ -12,7 +12,6 @@ from hullmle.expfam import (
     ObservationMask,
     SampleKind,
     StatDef,
-    attainable_statistics,
     demonstrate_unbounded,
     dyad_pairs,
     enumerate_statistics,
@@ -203,7 +202,8 @@ def test_attainable_statistics_in_first_appearance_order(n, mask):
     expected = {}
     for row in per_code_rows(EST, n, mask):
         expected.setdefault(tuple(row), row)
-    assert np.array_equal(attainable_statistics(EST, n, mask), list(expected.values()))
+    rows, _ = statistic_histogram(EST, n, mask)
+    assert np.array_equal(rows, list(expected.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +220,12 @@ def test_histogram_counts_graphs_per_row(n, mask):
     assert counts.tolist() == list(expected.values())
     k = n * (n - 1) // 2 if mask is None else mask.n_free
     assert counts.sum() == 2.0**k
-    assert np.array_equal(rows, attainable_statistics(EST, n, mask))
 
 
 def test_histogram_merges_rows_across_the_chunk_seam():
     n, mask = seam_space()
     rows, counts = statistic_histogram(ET, n, mask)
     assert counts.sum() == 2.0**17
-    assert np.array_equal(rows, attainable_statistics(ET, n, mask))
     every = np.concatenate(list(enumerate_statistics(ET, n, mask)))
     distinct, tally = np.unique(every, axis=0, return_counts=True)
     order = np.lexsort(rows.T[::-1])
@@ -300,16 +298,12 @@ def test_histogram_memo_tells_masks_apart_by_values():
     assert np.array_equal(other_rows, list(expected.values()))
 
 
-def test_histogram_arrays_are_read_only_and_attainable_rows_a_copy():
+def test_histogram_arrays_are_read_only():
     rows, counts = statistic_histogram(ET, 4)
     for arr in (rows, counts):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 99.0
-    attainable = attainable_statistics(ET, 4)
-    assert attainable.flags.writeable
-    attainable[0] = 99.0
-    assert not np.array_equal(statistic_histogram(ET, 4)[0], attainable)
 
 
 def test_exact_moments_enumerate_each_space_once(monkeypatch):
