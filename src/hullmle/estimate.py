@@ -79,7 +79,7 @@ class EstimatorConfig:
     def __post_init__(self):
         if not 0.0 < self.safety_factor < 1.0:
             raise ValueError("safety factor must be in (0, 1)")
-        if self.stop_threshold <= 1.0:
+        if not self.stop_threshold > 1.0:
             raise ValueError("stop threshold must exceed 1")
         for name in ("r_target", "s_test", "max_outer_iterations"):
             if getattr(self, name) < 1:
@@ -291,6 +291,10 @@ def iterate_until_contained(
 # even after the gradient test passes.
 DIVERGENCE_BOUND = 20.0
 
+# Smallest move of an ascent step, relative to the largest parameter
+# entry (or 1), that the line search still tries: a few units of rounding.
+MOVE_RESOLUTION = 4.0 * np.finfo(np.float64).eps
+
 
 def exact_mle(
     stats: StatDef,
@@ -342,25 +346,31 @@ def exact_mle(
         if float(direction @ gradient) <= 0.0:
             direction = gradient.copy()
 
+        # Halve the step until the Armijo test passes, while it still
+        # moves theta by more than its rounding.  Below that the value
+        # cannot rank candidates (noise would pass steps that move
+        # nothing), so the full step is taken if it reduces the gradient,
+        # as Newton's step does near the maximizer; else the search fails.
         step = 1.0
-        while step >= 1e-14:
+        reach = float(np.abs(direction).max())
+        floor = MOVE_RESOLUTION * max(1.0, float(np.abs(theta).max()))
+        while step >= 1e-14 and step * reach > floor:
             candidate = theta + step * direction
-            cand_value, cand_gradient, cand_hessian = loglik_parts(candidate)
-            if cand_value >= value + 1e-4 * step * float(direction @ gradient):
-                theta, value, gradient, hessian = (
-                    candidate,
-                    cand_value,
-                    cand_gradient,
-                    cand_hessian,
-                )
+            cand = loglik_parts(candidate)
+            if cand[0] >= value + 1e-4 * step * float(direction @ gradient):
                 break
             step *= 0.5
         else:
-            raise OptimizationError(
-                "exact likelihood line search failed",
-                last_iterate=theta,
-                gradient_norm=float(np.abs(gradient).max()),
-            )
+            candidate = theta + direction
+            cand = loglik_parts(candidate)
+            if not float(np.abs(cand[1]).max()) < float(np.abs(gradient).max()):
+                raise OptimizationError(
+                    "exact likelihood line search failed",
+                    last_iterate=theta,
+                    gradient_norm=float(np.abs(gradient).max()),
+                )
+        theta = candidate
+        value, gradient, hessian = cand
         if float(np.abs(theta).max()) > DIVERGENCE_BOUND:
             raise NonexistentMle(
                 "likelihood ascent diverges; no finite maximizer exists"

@@ -99,6 +99,14 @@ def _dyad_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def _flat_bools(values) -> np.ndarray:
+    """values as a 1-D bool array; one that already is one is kept, not
+    wrapped in a reshape view, so a held graph or mask costs one array
+    per field."""
+    bits = np.asarray(values, dtype=bool)
+    return bits if bits.ndim == 1 else bits.reshape(-1)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph as a flat boolean dyad vector.
@@ -113,7 +121,7 @@ class Graph:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("graphs need at least two vertices")
-        bits = np.asarray(self.edges, dtype=bool).reshape(-1)
+        bits = _flat_bools(self.edges)
         if bits.size != _dyad_count(self.n):
             raise ValueError(
                 f"expected {_dyad_count(self.n)} dyads for n={self.n}, got {bits.size}"
@@ -163,8 +171,8 @@ class ObservationMask:
     observed_values: np.ndarray
 
     def __post_init__(self):
-        dyads = np.asarray(self.observed_dyads, dtype=bool).reshape(-1)
-        values = np.asarray(self.observed_values, dtype=bool).reshape(-1)
+        dyads = _flat_bools(self.observed_dyads)
+        values = _flat_bools(self.observed_values)
         if dyads.size != values.size:
             raise ValueError("mask fields must have equal length")
         if np.any(values & ~dyads):
@@ -174,7 +182,7 @@ class ObservationMask:
 
     @classmethod
     def from_graph(cls, graph: Graph, observed_dyads) -> "ObservationMask":
-        dyads = np.asarray(observed_dyads, dtype=bool).reshape(-1)
+        dyads = _flat_bools(observed_dyads)
         return cls(observed_dyads=dyads, observed_values=graph.edges & dyads)
 
     @classmethod

@@ -11,8 +11,11 @@ The production route answers each query with one free-variable LP:
     minimize p'z   subject to  M z >= -1   (z unconstrained)
 
 whose optimal value v gives gamma = -1/v, and whose minimizer z defines
-the supporting hyperplane 1 + x'z = 0 through the boundary point.  The
-LP has one row per target point and only d columns, so when the target
+the supporting hyperplane 1 + x'z = 0 through the boundary point.
+lp.solve recognises this shape and runs its phase-two-only membership
+route, which starts from the feasible all-slack basis at z = 0 and
+gives the same answer, bit for bit, as the general simplex.  The LP has
+one row per target point and only d columns, so when the target
 has more than ROW_GENERATION_FACTOR * d rows it is solved by exact row
 generation (Kelley's cutting planes): solve on a small active set of
 rows, check the minimizer against every row with one matrix-vector

@@ -6,17 +6,30 @@ The solver accepts problems in the form
     subject to  A x  {>=, <=, =}  b
                 lower <= x <= upper   (entries may be -inf / +inf)
 
-and runs a two-phase bounded-variable revised simplex.  Free variables
-are handled natively (a nonbasic variable sits at a bound or, if it has
-none, at zero), never by splitting into positive and negative parts.
+and takes one of two routes, chosen from the problem alone.
 
-Internally every row gets a slack variable whose bounds encode the row
-sense, plus an artificial variable when the initial slack basis is
-infeasible for that row.  Slack and artificial columns are unit vectors,
-so a basis consists of unit columns plus at most n structural columns,
-and every basis solve reduces to a k x k system with k <= n.  This keeps
-pivots cheap on problems with very many rows and few variables, which is
-the shape of every hull query in this package.
+The membership route serves the LP of every hull query: minimize, every
+row >=, rhs identically -1, every bound infinite (min p'z subject to
+M z >= -1 with z free).  Its all-slack basis is feasible at z = 0, so
+it runs phase two only, with no artificial columns; the free structural
+columns never leave the basis once they enter, and a leaving slack
+always stops at its upper bound 0.  It performs the same basis solves,
+products and tie breaks as the general route does on that shape, so the
+two give bit-identical solutions, iteration counts and rays.
+
+The general route runs a two-phase bounded-variable revised simplex on
+anything else, including the dual and box-constrained cross-checks.
+Free variables are handled natively (a nonbasic variable sits at a
+bound or, if it has none, at zero), never by splitting into positive
+and negative parts.  Internally every row gets a slack variable whose
+bounds encode the row sense, plus an artificial variable when the
+initial slack basis is infeasible for that row.
+
+On both routes slack and artificial columns are unit vectors, so a
+basis consists of unit columns plus at most n structural columns, and
+every basis solve reduces to a k x k system with k <= n.  This keeps
+pivots cheap on problems with very many rows and few variables, which
+is the shape of every hull query in this package.
 
 Pivoting is deterministic: Dantzig's rule with lowest-index tie breaks,
 switching permanently to Bland's rule after 3 (m + n) consecutive
@@ -499,8 +512,127 @@ class _Simplex:
             )
 
 
+def _is_membership_shape(problem: LinearProgram) -> bool:
+    """True for min p'z subject to M z >= -1 with every z free."""
+    return (
+        problem.objective_sense is ObjectiveSense.MINIMIZE
+        and problem.constraint_senses.count(ConstraintSense.GE) == problem.n_rows
+        and bool(np.all(problem.rhs == -1.0))
+        and not np.isfinite(problem.lower_bounds).any()
+        and not np.isfinite(problem.upper_bounds).any()
+    )
+
+
+def _solve_membership(problem: LinearProgram, cfg: SolverConfig) -> LpSolution:
+    """Phase two of _Simplex on a membership-shaped problem.
+
+    The all-slack basis is feasible at z = 0.  Basic structurals are
+    free, so no ratio test blocks on them and they never leave; a basic
+    slack blocks only at its upper bound 0.  The basis is therefore the
+    basic structural columns over the rows whose slack has left, a k x k
+    block with k <= n.  Each pivot solves that block three times (basic
+    values, duals, entering column), forms one A'y and ratio-tests the
+    basic slacks, with the expressions _Simplex uses on this shape, so
+    the two agree bit for bit.  The column block A[:, s_cols] is
+    gathered again only when a structural enters.
+    """
+    A, c, b = problem.constraint_matrix, problem.objective, problem.rhs
+    m, n = A.shape
+    limit = cfg.iteration_limit
+    limit = ITERATION_LIMIT_FACTOR * (m + n) if limit is None else limit
+    tol = cfg.pivot_tol * (1.0 + np.abs(c).max())
+    basic = np.zeros(n, dtype=bool)  # basic structurals
+    covered = np.zeros(m, dtype=bool)  # rows whose slack left the basis
+    s_cols = np.zeros(0, dtype=np.int64)
+    a_cols = np.zeros((m, 0))
+    iterations, degenerate_run, bland = 0, 0, False
+    while True:
+        w_rows = np.flatnonzero(covered)
+        u_rows = np.flatnonzero(~covered)
+        y = np.zeros(m)
+        if s_cols.size:
+            block, a_u = a_cols[w_rows], a_cols[u_rows]
+            x_s = np.linalg.solve(block, b[w_rows])
+            slack_vals = b[u_rows] - a_u @ x_s
+            y[w_rows] = np.linalg.solve(block.T, c[s_cols])
+        else:
+            x_s, slack_vals = np.zeros(0), b[u_rows]
+        d = c - A.T @ y
+
+        # A nonbasic free structural scores |d|; a nonbasic slack sits at
+        # its upper bound and scores -y, which is 0 on basic slacks.
+        score = np.concatenate([np.where(basic, 0.0, np.abs(d)), -y])
+        eligible = score > tol
+        if not eligible.any():
+            break
+        if bland:
+            e = int(np.flatnonzero(eligible)[0])
+        else:
+            e = int(np.argmax(np.where(eligible, score, -np.inf)))
+        if e < n:
+            sigma = 1.0 if d[e] < 0.0 else -1.0
+            column = A[:, e]
+        else:
+            sigma = -1.0
+            column = np.zeros(m)
+            column[e - n] = 1.0
+        if s_cols.size:
+            w_s = np.linalg.solve(block, column[w_rows])
+            w_u = column[u_rows] - a_u @ w_s
+        else:
+            w_s, w_u = np.zeros(0), column[u_rows]
+
+        rates = -sigma * w_u
+        rising = rates > cfg.pivot_tol
+        with np.errstate(invalid="ignore"):
+            t = np.maximum(0.0, (0.0 - slack_vals[rising]) / rates[rising])
+        t_min = t.min() if t.size else np.inf
+        if not np.isfinite(t_min):
+            ray = np.zeros(n)
+            if e < n:
+                ray[e] = sigma
+            ray[s_cols] -= sigma * w_s
+            return LpSolution(LpStatus.UNBOUNDED, None, None, iterations, ray=ray)
+        first = np.flatnonzero(t <= t_min + DEGENERATE_STEP)[0]
+
+        iterations += 1
+        if iterations > limit:
+            raise IterationLimitError(iterations)
+        if t[first] < DEGENERATE_STEP:
+            degenerate_run += 1
+            if degenerate_run > DEGENERATE_SWITCH_FACTOR * (m + n):
+                bland = True
+        else:
+            degenerate_run = 0
+
+        covered[u_rows[rising][first]] = True
+        if e < n:
+            basic[e] = True
+            s_cols = np.flatnonzero(basic)
+            a_cols = A[:, s_cols]
+        else:
+            covered[e - n] = False
+
+    x = np.zeros(n)
+    x[s_cols] = x_s
+    resid = b - A @ x
+    bad = resid > cfg.feas_tol * (1.0 + np.abs(b))
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ArithmeticError(
+            f"optimal basis violates row {i} by {resid[i]:.3e}; numerical trouble"
+        )
+    return LpSolution(LpStatus.OPTIMAL, x, float(c @ x), iterations)
+
+
 def solve(problem: LinearProgram, config: SolverConfig | None = None) -> LpSolution:
     """Solve a dense LP; deterministic for identical inputs.
+
+    A membership-shaped problem (minimize, every row >=, rhs identically
+    -1, every bound infinite) takes the phase-two-only membership route;
+    any other problem takes the general two-phase simplex.  On the
+    membership shape both routes return bit-identical solutions, so the
+    route is an implementation detail, chosen from the problem alone.
 
     Raises IterationLimitError when the pivot budget runs out, and
     ArithmeticError when the final basis fails its feasibility check or
@@ -511,26 +643,20 @@ def solve(problem: LinearProgram, config: SolverConfig | None = None) -> LpSolut
         raise TypeError("problem must be a LinearProgram")
     cfg = config or SolverConfig()
     try:
+        if _is_membership_shape(problem):
+            return _solve_membership(problem, cfg)
         return _Simplex(problem, cfg).solve()
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"simplex basis solve failed: {exc}") from exc
 
 
-def _require_membership_shape(primal: LinearProgram) -> None:
-    if primal.objective_sense is not ObjectiveSense.MINIMIZE:
-        raise ValueError("membership primal must minimize")
-    if primal.constraint_senses.count(ConstraintSense.GE) != primal.n_rows:
-        raise ValueError("membership primal must use >= rows")
-    if not np.all(primal.rhs == -1.0):
-        raise ValueError("membership primal must have rhs identically -1")
-    if np.isfinite(primal.lower_bounds).any() or np.isfinite(primal.upper_bounds).any():
-        raise ValueError("membership primal must have free variables")
-
-
 def dual_of_membership(primal: LinearProgram) -> LinearProgram:
     """Dual of the free-variable membership LP: maximize -1'y subject to
     M'y = p with y >= 0, one weight per target row."""
-    _require_membership_shape(primal)
+    if not _is_membership_shape(primal):
+        raise ValueError(
+            "membership primal must minimize p'z subject to M z >= -1 with z free"
+        )
     mat = primal.constraint_matrix
     r = mat.shape[0]
     return LinearProgram(

@@ -439,6 +439,11 @@ def test_estimate_usage_errors(k4_files, capsys):
     code, _, _ = run(capsys, "estimate", graph, mask, "--theta0", "1.0")
     assert code == 64
 
+    code, out, err = run(capsys, "estimate", graph, mask, "--stop-threshold", "nan")
+    assert code == 64
+    assert out == ""
+    assert "stop threshold must exceed 1" in err
+
 
 @pytest.mark.parametrize("argv, message", [
     (("estimate", "--theta0", "0,x"), "bad --theta0: '0,x'"),

@@ -92,6 +92,23 @@ def test_masked_mle_nonexistent_for_disjoint_missing_nonedges():
         exact_mle(ET, graph, mask=mask)
 
 
+def test_masked_mle_converges_where_the_likelihood_is_level():
+    # Near this maximizer the log-likelihood is level to rounding: the
+    # full Newton step takes the gradient from 1.9e-8 to 2e-15, but its
+    # value compares a unit of rounding low, and halving the step until
+    # noise let a step through stalled the ascent for its whole budget.
+    edges = np.array([0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 1, 0], dtype=bool)
+    graph = Graph(n=6, edges=edges)
+    observed = np.ones(15, dtype=bool)
+    observed[[0, 1, 5, 11, 14]] = False
+    mask = ObservationMask.from_graph(graph, observed)
+    theta = exact_mle(ET, graph, mask=mask)
+    _, mean_con, _ = exact_moments(ET, theta, 6, mask)
+    _, mean_full, _ = exact_moments(ET, theta, 6)
+    assert np.abs(mean_con - mean_full).max() <= 1e-8
+    assert theta == pytest.approx([2.2722404, -0.35568803], abs=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # rescaled_step
 
@@ -283,3 +300,10 @@ def test_estimator_config_validation():
         EstimatorConfig(safety_factor=1.5)
     with pytest.raises(ValueError):
         EstimatorConfig(stop_threshold=0.9)
+
+
+def test_stop_threshold_must_be_a_number_above_one():
+    with pytest.raises(ValueError, match="stop threshold must exceed 1"):
+        EstimatorConfig(stop_threshold=float("nan"))
+    # Infinity is valid: the loop never stops early.
+    assert EstimatorConfig(stop_threshold=float("inf")).stop_threshold == math.inf
