@@ -3,7 +3,11 @@
 Keeps successively smaller outer fractions of the target set, then
 re-solves the minimum scaling factor of random binary corners against
 each kept hull.  Pruned targets keep the full-cloud centroid, so the
-reported scales stay comparable across fractions.
+reported scales stay comparable across fractions.  Each row times the
+prune (depth ordering included) and the queries separately, next to a
+baseline row that queries the unpruned target with no depth ordering;
+the baseline runs once untimed first, so no row pays for first-call
+costs.
 """
 
 import argparse
@@ -35,23 +39,25 @@ def main():
         f"prune trade-off: {args.n_points} points in {args.dim}d, "
         f"{args.n_tests} corner tests"
     )
-    rows = []
+    min_scale(target, tests)
+    tick = time.perf_counter()
+    report = min_scale(target, tests)
+    rows = [("none", target.n_points, report.min_scale, 0.0, time.perf_counter() - tick)]
     for fraction in sorted(args.fractions):
-        kept = mahalanobis_prune(target, fraction)
         tick = time.perf_counter()
+        kept = mahalanobis_prune(target, fraction)
+        pruned = time.perf_counter()
         report = min_scale(kept, tests)
-        elapsed = time.perf_counter() - tick
-        rows.append((fraction, kept.n_points, report.min_scale, elapsed))
-        print(
-            f"  keep {fraction:4.2f}  ({kept.n_points:6d} points)  "
-            f"minScale={report.min_scale:.6f}  {elapsed:.3f}s"
-        )
+        rows.append((f"{fraction:.2f}", kept.n_points, report.min_scale,
+                     pruned - tick, time.perf_counter() - pruned))
 
-    full = rows[-1][2]
-    print(f"\n{'fraction':>8}  {'kept':>7}  {'minScale':>10}  {'rel change':>10}  {'seconds':>8}")
-    for fraction, kept_n, scale, elapsed in rows:
-        rel = abs(scale - full) / abs(full)
-        print(f"{fraction:>8.2f}  {kept_n:>7d}  {scale:>10.6f}  {rel:>10.2e}  {elapsed:>8.3f}")
+    baseline = rows[0][2]
+    print(f"{'keep':>6}  {'kept':>7}  {'minScale':>10}  {'rel change':>10}  "
+          f"{'prune s':>8}  {'query s':>8}  {'total s':>8}")
+    for keep, kept_n, scale, prune_s, query_s in rows:
+        rel = abs(scale - baseline) / abs(baseline)
+        print(f"{keep:>6}  {kept_n:>7d}  {scale:>10.6f}  {rel:>10.2e}  "
+              f"{prune_s:>8.3f}  {query_s:>8.3f}  {prune_s + query_s:>8.3f}")
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ from .estimate import (
 from .expfam import (
     Graph,
     ObservationMask,
-    SampleKind,
     StatDef,
     StatMatrix,
     StatTerm,
@@ -93,7 +92,6 @@ __all__ = [
     "ObservationMask",
     "OptimizationError",
     "OriginalLpResult",
-    "SampleKind",
     "ScaleReport",
     "SolverConfig",
     "StatDef",

@@ -1,12 +1,17 @@
 """Batch hull queries: minimum scaling factor over a test set, and
-Mahalanobis-depth pruning of target points that cannot affect the hull.
+Mahalanobis-depth pruning of the target set as an accuracy/speed
+experiment.
 
 The minimum scaling factor over a set of test statistics decides whether
 a sampled likelihood-ratio surface has a maximizer at all: any test
 point outside the open hull (factor at most 1) certifies an unbounded
-surface.  Pruning discards the deepest fraction of target points, which
-shrinks the LP without materially moving the hull boundary in moderate
-dimension.
+surface.  Pruning keeps only the outermost fraction of target points by
+Mahalanobis depth.  It is a heuristic, kept for prune_curve and the
+prune-curve command, and does not pay for itself: on a 100k x 20 cube
+cloud with 5 corner tests (2-core machine) min_scale on the full target
+takes 0.2-0.3 s, the prune to a quarter takes 2-2.5 s (most of it the
+exactly summed covariance), and the pruned hull is smaller, so its
+min_scale reads 2.7% lower.
 """
 
 from __future__ import annotations
@@ -115,10 +120,20 @@ def min_scale(
 def _depth_order(target: TargetSet) -> np.ndarray:
     """Row indices sorted by decreasing squared Mahalanobis distance from
     the centroid, ties broken by original index.  The covariance is the
-    sample covariance of the full target set, computed once."""
-    inverse = numerics.CovarianceInverse(numerics.covariance(target.points))
-    distances = numerics.squared_distances(target.points, inverse)
-    return np.argsort(-distances, kind="stable")
+    sample covariance of the full target set, computed once; when it is
+    numerically singular, eps * I with eps = 1e-10 * trace / dim is added
+    before factoring, which is enough to rank points by depth."""
+    cov = numerics.covariance(target.points)
+    try:
+        factor = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        dim = cov.shape[0]
+        eps = 1e-10 * np.trace(cov) / dim
+        if eps <= 0.0:
+            eps = 1e-10
+        factor = np.linalg.cholesky(cov + eps * np.eye(dim))
+    half = np.linalg.solve(factor, target.points.T)
+    return np.argsort(-np.sum(half * half, axis=0), kind="stable")
 
 
 def _keep_count(keep_fraction: float, r: int) -> int:
@@ -141,8 +156,9 @@ def _pruned(target: TargetSet, order: np.ndarray, kept: int) -> TargetSet:
 def mahalanobis_prune(target: TargetSet, keep_fraction: float) -> TargetSet:
     """Keep the outermost fraction of target points by Mahalanobis depth.
 
-    The deepest points (smallest distance) are interior to the hull of
-    the rest and cannot move its boundary.  The result keeps the
+    The deepest points (smallest distance) are the likeliest to be
+    interior to the hull of the rest, but dropping them can still pull
+    the boundary in; see the module docstring.  The result keeps the
     original centroid on purpose: scaling factors are measured along
     rays from that reference, and re-centering on survivors would
     silently change every subsequent query.

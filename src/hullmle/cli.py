@@ -24,7 +24,7 @@ import numpy as np
 from numpy.random import SeedSequence
 
 from . import __version__
-from .batch import make_test_set, min_scale, mahalanobis_prune, prune_curve
+from .batch import make_test_set, min_scale, prune_curve
 from .estimate import EstimatorConfig, OptimizationError, iterate_until_contained
 from .expfam import (
     Graph,
@@ -355,8 +355,6 @@ def cmd_min_scale(args) -> int:
     started = time.perf_counter()
     config = _solver_config(args)
     target, tests = _target_and_tests(args)
-    if args.prune_fraction is not None:
-        target = mahalanobis_prune(target, _keep_fraction(args.prune_fraction))
     report = min_scale(target, tests, config=config)
     doc = {
         "manifest": _manifest("min-scale", args, None, started),
@@ -566,8 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("min-scale", help="least boundary scaling over a test set")
     p.add_argument("target", help="CSV of target points")
     p.add_argument("tests", help="CSV of test points")
-    p.add_argument("--prune-fraction", type=float, default=None,
-                   help="keep this central fraction of the target first")
     _add_centroid_flag(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_min_scale)

@@ -13,6 +13,7 @@ whole loop on toy instances.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,9 +82,16 @@ class EstimatorConfig:
             raise ValueError("safety factor must be in (0, 1)")
         if not self.stop_threshold > 1.0:
             raise ValueError("stop threshold must exceed 1")
-        for name in ("r_target", "s_test", "max_outer_iterations"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for name in ("r_target", "s_test", "max_outer_iterations", "mcmc_interval"):
+            value = getattr(self, name)
+            if value is None and name == "mcmc_interval":
+                continue
+            try:
+                count = 0 if isinstance(value, bool) else operator.index(value)
+            except TypeError:
+                count = 0
+            if count < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 @dataclass(frozen=True)

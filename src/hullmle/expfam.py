@@ -39,7 +39,6 @@ __all__ = [
     "StatDef",
     "Graph",
     "ObservationMask",
-    "SampleKind",
     "StatMatrix",
     "dyad_pairs",
     "statistics",
@@ -208,17 +207,11 @@ class ObservationMask:
         return int((~self.observed_dyads).sum())
 
 
-class SampleKind(enum.Enum):
-    UNCONSTRAINED = "unconstrained"
-    CONSTRAINED = "constrained"
-
-
 @dataclass(frozen=True)
 class StatMatrix:
     """Statistic vectors of sampled graphs, one row per draw."""
 
     rows: np.ndarray
-    kind: SampleKind
     graphs: tuple[Graph, ...] | None = None
 
 
@@ -434,14 +427,13 @@ def mcmc_sample(
     if count < 1:
         raise ValueError("count must be at least 1")
     free, base = _space(n, mask)
-    kind = SampleKind.UNCONSTRAINED if mask is None else SampleKind.CONSTRAINED
     n_free = free.size
 
     if n_free == 0:
         g0 = statistics(Graph(n=n, edges=base), stats)
         rows = np.tile(g0, (count, 1))
         graphs = tuple(Graph(n=n, edges=base.copy()) for _ in range(count)) if keep_graphs else None
-        return StatMatrix(rows=rows, kind=kind, graphs=graphs)
+        return StatMatrix(rows=rows, graphs=graphs)
 
     if interval is None:
         interval = 10 * n_free
@@ -547,7 +539,7 @@ def mcmc_sample(
             recorded += 1
             next_record += interval
 
-    return StatMatrix(rows=rows, kind=kind, graphs=tuple(graphs) if keep_graphs else None)
+    return StatMatrix(rows=rows, graphs=tuple(graphs) if keep_graphs else None)
 
 
 def _log_mean_exp(x: np.ndarray) -> float:

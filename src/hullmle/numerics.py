@@ -17,17 +17,11 @@ __all__ = [
     "as_vector",
     "center",
     "covariance",
-    "CovarianceInverse",
-    "mahalanobis_sq",
     "rank",
 ]
 
 # Relative threshold below which a singular value counts as zero.
 RANK_TOL = 1e-9
-
-# Ridge coefficient applied when a covariance matrix is numerically
-# singular: eps = RIDGE_COEF * trace(cov) / dim.
-RIDGE_COEF = 1e-10
 
 
 def as_matrix(points, name: str = "points") -> np.ndarray:
@@ -90,66 +84,6 @@ def covariance(points) -> np.ndarray:
         for j in range(i, d):
             cov[i, j] = cov[j, i] = math.fsum(centered[:, i] * centered[:, j]) / (r - 1)
     return cov
-
-
-class CovarianceInverse:
-    """Applies the inverse of a covariance matrix through a Cholesky factor.
-
-    If the matrix is numerically singular it is regularised by adding
-    eps * I with eps = 1e-10 * trace / dim before factoring, which is
-    enough to rank points by depth without changing the ordering of
-    well separated distances.
-    """
-
-    def __init__(self, cov) -> None:
-        mat = as_matrix(np.atleast_2d(cov), name="covariance")
-        if mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"covariance must be square, got {mat.shape}")
-        if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(mat).max())):
-            raise ValueError("covariance must be symmetric")
-        sym = 0.5 * (mat + mat.T)
-        self.dim = sym.shape[0]
-        self.regularized = False
-        try:
-            self._factor = np.linalg.cholesky(sym)
-        except np.linalg.LinAlgError:
-            eps = RIDGE_COEF * np.trace(sym) / self.dim
-            if eps <= 0.0:
-                eps = RIDGE_COEF
-            self._factor = np.linalg.cholesky(sym + eps * np.eye(self.dim))
-            self.regularized = True
-
-    def half_solve(self, rows: np.ndarray) -> np.ndarray:
-        """Solve L w = rows.T for the Cholesky factor L; returns (dim, nrows)."""
-        rhs = np.atleast_2d(rows).T
-        return np.linalg.solve(self._factor, rhs)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Return cov^{-1} x for a single vector x."""
-        w = self.half_solve(x.reshape(1, -1))
-        return np.linalg.solve(self._factor.T, w).reshape(-1)
-
-
-def mahalanobis_sq(x, cov_inverse: CovarianceInverse) -> float:
-    """Squared Mahalanobis norm x^T cov^{-1} x.
-
-    The applier holds the factored covariance; distances for many rows
-    at once go through squared_distances below.
-    """
-    vec = as_vector(x, name="x")
-    if vec.size != cov_inverse.dim:
-        raise ValueError(f"x has dimension {vec.size}, expected {cov_inverse.dim}")
-    w = cov_inverse.half_solve(vec.reshape(1, -1))
-    return float(np.sum(w * w))
-
-
-def squared_distances(rows, cov_inverse: CovarianceInverse) -> np.ndarray:
-    """Squared Mahalanobis norms of many rows in one factored solve."""
-    arr = as_matrix(rows, name="rows")
-    if arr.shape[1] != cov_inverse.dim:
-        raise ValueError(f"rows have dimension {arr.shape[1]}, expected {cov_inverse.dim}")
-    w = cov_inverse.half_solve(arr)
-    return np.sum(w * w, axis=0)
 
 
 def rank(points) -> int:

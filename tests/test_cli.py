@@ -245,22 +245,18 @@ def test_min_scale_deterministic_modulo_duration(triangle_file, tmp_path, capsys
     assert strip_duration(first) == strip_duration(second)
 
 
-def test_min_scale_prune_fraction(tmp_path, capsys):
-    target, tests = cloud_files(tmp_path)
-    _, full_out, _ = run(capsys, "min-scale", target, tests)
-    code, out, _ = run(capsys, "min-scale", target, tests, "--prune-fraction", "0.5")
-    assert code in (0, 1, 2, 3)
-    pruned = parse_document(out)["result"]
-    full = parse_document(full_out)["result"]
-    assert pruned["targetPointsUsed"] == 20
-    assert full["targetPointsUsed"] == 40
-    assert pruned["minScale"] <= full["minScale"] + 1e-9
-
-
-def test_min_scale_prune_that_flattens_the_target_is_an_error(
-        triangle_file, tmp_path, capsys):
+def test_min_scale_rejects_the_removed_prune_fraction_flag(triangle_file, tmp_path,
+                                                          capsys):
     code, _, err = run(capsys, "min-scale", triangle_file, write_tests(tmp_path),
                        "--prune-fraction", "0.5")
+    assert code == 64
+    assert "--prune-fraction" in err
+
+
+def test_prune_curve_that_flattens_the_target_is_an_error(
+        triangle_file, tmp_path, capsys):
+    code, _, err = run(capsys, "prune-curve", triangle_file, write_tests(tmp_path),
+                       "--fractions", "0.5")
     assert code == 65
     assert "rank-deficient" in err
 
@@ -324,13 +320,12 @@ def test_prune_curve_rejects_bad_fractions(triangle_file, tmp_path, capsys):
 @pytest.mark.parametrize("command, argv, message", [
     ("prune-curve", ("--fractions", "2"), "keep fraction must be in (0, 1], got 2.0"),
     ("prune-curve", ("--fractions", ","), "no fractions given"),
-    ("min-scale", ("--prune-fraction", "0"), "keep fraction must be in (0, 1], got 0.0"),
     ("estimate", ("--safety-factor", "2"), "safety factor must be in (0, 1)"),
     ("estimate", ("--r-target", "0"), "--r-target: must be an integer of at least 1"),
     ("estimate", ("--interval", "0"), "--interval: must be an integer of at least 1"),
     ("min-scale", ("--feas-tol", "-1"), "feas_tol must be positive"),
     ("demo-unbounded", ("--r-target", "0"), "--r-target: must be an integer of at least 1"),
-], ids=["fractions", "no-fractions", "prune-fraction", "safety-factor", "estimate-r-target",
+], ids=["fractions", "no-fractions", "safety-factor", "estimate-r-target",
         "interval", "feas-tol", "demo-r-target"])
 def test_out_of_range_flag_values_are_usage_errors(
         triangle_file, tmp_path, k4_files, capsys, command, argv, message):

@@ -302,6 +302,28 @@ def test_estimator_config_validation():
         EstimatorConfig(stop_threshold=0.9)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("r_target", 75.5),
+    ("r_target", True),
+    ("s_test", 2.0),
+    ("max_outer_iterations", 2.5),
+    ("mcmc_interval", 2.5),
+    ("mcmc_interval", 0),
+    ("mcmc_interval", False),
+])
+def test_estimator_config_counts_are_positive_integers(field, value):
+    # A float, a bool or a count below one would otherwise fail only deep
+    # in the sampler, or at its first draw.
+    with pytest.raises(ValueError, match=field):
+        EstimatorConfig(**{field: value})
+
+
+def test_estimator_config_accepts_numpy_integer_counts():
+    cfg = EstimatorConfig(r_target=np.int64(75), mcmc_interval=np.int32(3))
+    assert (cfg.r_target, cfg.mcmc_interval) == (75, 3)
+    assert EstimatorConfig(mcmc_interval=None).mcmc_interval is None
+
+
 def test_stop_threshold_must_be_a_number_above_one():
     with pytest.raises(ValueError, match="stop threshold must exceed 1"):
         EstimatorConfig(stop_threshold=float("nan"))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hullmle.expfam import (
     Graph,
     ObservationMask,
-    SampleKind,
     StatDef,
     demonstrate_unbounded,
     dyad_pairs,
@@ -330,7 +329,6 @@ def test_exact_moments_enumerate_each_space_once(monkeypatch):
 
 def test_sampler_uniform_edge_mean():
     sample = mcmc_sample(EDGES, np.zeros(1), 7, 2000, seed=SeedSequence(7))
-    assert sample.kind is SampleKind.UNCONSTRAINED
     mean = sample.rows.mean()
     se = sample.rows.std() / math.sqrt(2000)
     assert abs(mean - 10.5) <= 3 * se + 0.2
@@ -350,7 +348,6 @@ def test_constrained_sampler_visits_all_completions():
     # statistics multiset is {(6,4): 1, (7,4): 2, (8,5): 1}.
     graph, mask = masked_k4_instance()
     sample = mcmc_sample(ET, np.zeros(2), 5, 4000, mask=mask, seed=SeedSequence(123))
-    assert sample.kind is SampleKind.CONSTRAINED
     uniq, counts = np.unique(sample.rows, axis=0, return_counts=True)
     assert [tuple(u) for u in uniq] == [(6.0, 4.0), (7.0, 4.0), (8.0, 5.0)]
     freq = counts / counts.sum()

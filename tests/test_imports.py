@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,19 @@ def test_guard_sees_private_imports(tmp_path):
     probe.write_text("from __future__ import annotations\nfrom . import __version__\n"
                      "from .expfam import _space\nfrom hullmle.lp import solve, _Simplex\n")
     assert [name for _, _, name in private_imports(probe)] == ["_space", "_Simplex"]
+
+
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("_"))
+
+
+@pytest.mark.parametrize("module", ["hullmle", *(f"hullmle.{m}" for m in MODULES)])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_star_import_succeeds():
+    namespace = {}
+    exec("from hullmle import *", namespace)
+    assert "query" in namespace

@@ -3,15 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hullmle import make_target_set, mahalanobis_prune
 from hullmle.numerics import (
-    CovarianceInverse,
     as_matrix,
     as_vector,
     center,
     covariance,
-    mahalanobis_sq,
     rank,
-    squared_distances,
 )
 
 
@@ -75,47 +73,28 @@ def test_rank_detects_degenerate_cloud():
     assert rank(rng.standard_normal((30, 3))) == 3
 
 
-def test_covariance_inverse_round_trip():
-    rng = np.random.default_rng(2)
-    pts = rng.standard_normal((100, 4))
-    cov = covariance(pts)
-    inv = CovarianceInverse(cov)
-    x = rng.standard_normal(4)
-    assert np.allclose(cov @ inv.apply(x), x, rtol=1e-8, atol=1e-10)
-
+# The depth ordering factors numerics.covariance inside
+# batch.mahalanobis_prune; the two tests below check it through the prune.
 
 def test_covariance_inverse_regularizes_singular_input():
-    cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-    inv = CovarianceInverse(cov)
-    assert inv.regularized
-    x = inv.apply(np.array([1.0, 0.0]))
-    assert np.all(np.isfinite(x))
-
-
-def test_mahalanobis_sq_is_nonnegative_and_zero_at_origin():
-    rng = np.random.default_rng(3)
-    pts = rng.standard_normal((60, 3))
-    inv = CovarianceInverse(covariance(pts))
-    assert mahalanobis_sq(np.zeros(3), inv) == 0.0
-    for row in pts[:10]:
-        assert mahalanobis_sq(row, inv) >= 0.0
-
-
-def test_squared_distances_matches_single_queries():
-    rng = np.random.default_rng(4)
-    pts = rng.standard_normal((50, 3))
-    inv = CovarianceInverse(covariance(pts))
-    batch = squared_distances(pts, inv)
-    single = np.array([mahalanobis_sq(row, inv) for row in pts])
-    assert np.allclose(batch, single, rtol=1e-10, atol=1e-12)
+    # A collinear cloud has a singular covariance, so the factorisation
+    # needs its ridge; the kept rows are still finite, deterministic and
+    # the outermost along the line.
+    t = np.random.default_rng(6).standard_normal(30)
+    line = np.column_stack([t, np.zeros(30)])
+    target = make_target_set(line)
+    kept = mahalanobis_prune(target, 0.25)
+    assert np.all(np.isfinite(kept.points))
+    assert np.array_equal(kept.points, mahalanobis_prune(target, 0.25).points)
+    outermost = np.sort(np.abs(target.points[:, 0]))[-kept.n_points:]
+    assert np.array_equal(np.sort(np.abs(kept.points[:, 0])), outermost)
 
 
 def test_mahalanobis_is_affine_invariant_in_scale():
-    # Scaling every point by a constant leaves the depth ORDER alone.
+    # Scaling every point by a constant leaves the depth ORDER alone, so
+    # the prune keeps the same rows in the same order.
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((80, 3))
-    inv_a = CovarianceInverse(covariance(pts))
-    inv_b = CovarianceInverse(covariance(3.0 * pts))
-    da = squared_distances(pts, inv_a)
-    db = squared_distances(3.0 * pts, inv_b)
-    assert np.array_equal(np.argsort(da), np.argsort(db))
+    kept = mahalanobis_prune(make_target_set(pts), 0.5)
+    kept_scaled = mahalanobis_prune(make_target_set(3.0 * pts), 0.5)
+    assert np.allclose(kept_scaled.points, 3.0 * kept.points, rtol=1e-12, atol=1e-12)
