@@ -5,13 +5,15 @@ experiment.
 The minimum scaling factor over a set of test statistics decides whether
 a sampled likelihood-ratio surface has a maximizer at all: any test
 point outside the open hull (factor at most 1) certifies an unbounded
-surface.  Pruning keeps only the outermost fraction of target points by
-Mahalanobis depth.  It is a heuristic, kept for prune_curve and the
-prune-curve command, and does not pay for itself: on a 100k x 20 cube
-cloud with 5 corner tests (2-core machine) min_scale on the full target
-takes 0.2-0.3 s, the prune to a quarter takes 2-2.5 s (most of it the
-exactly summed covariance), and the pruned hull is smaller, so its
-min_scale reads 2.7% lower.
+surface.  Each distinct test row is solved once; graph statistics are
+integer counts, so small graphs repeat rows often.  Pruning keeps only
+the outermost fraction of target points by Mahalanobis depth.  It is a
+heuristic, kept for prune_curve and the prune-curve command, and does
+not pay for itself: on a 100k x 20 cube cloud with 5 corner tests
+(2-core machine) min_scale on the full target takes 0.2-0.3 s, the
+prune to a quarter takes 2-2.5 s (most of it the exactly summed
+covariance), and the pruned hull is smaller, so its min_scale reads
+2.7% lower.
 """
 
 from __future__ import annotations
@@ -81,11 +83,13 @@ def min_scale(
 ) -> ScaleReport:
     """Smallest per-point boundary scaling factor over the test set.
 
-    Queries run one after another.  threads > 1 runs them on a thread
-    pool instead; its only caller is the threaded re-timing in
-    perfbench/harness.py.  The report is assembled by point index either
-    way.  A rank-deficient target is rejected outright since every query
-    would be Degenerate.
+    Each distinct test row is queried once and its verdict is copied to
+    the rows that repeat it, so the report is the same as one query per
+    row: argmin is the first row with the least factor.  Queries run one
+    after another.  threads > 1 runs them on a thread pool instead; its
+    only caller is the threaded re-timing in perfbench/harness.py.  The
+    report is assembled by point index either way.  A rank-deficient
+    target is rejected outright since every query would be Degenerate.
     """
     cfg = config or SolverConfig()
     if tests.n_points < 1:
@@ -98,12 +102,14 @@ def min_scale(
     def one(row) -> HullVerdict:
         return query(target, row, cfg)
 
-    rows = list(tests.points)
+    first, inverse = numerics.distinct_rows(tests.points)
+    rows = list(tests.points[first])
     if threads is not None and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(pool.map(one, rows))
+            distinct = list(pool.map(one, rows))
     else:
-        verdicts = [one(row) for row in rows]
+        distinct = [one(row) for row in rows]
+    verdicts = [distinct[k] for k in inverse]
 
     # A Degenerate verdict's gamma is +inf.
     scales = np.array([v.gamma for v in verdicts])

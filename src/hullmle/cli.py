@@ -528,26 +528,33 @@ def _add_centroid_flag(parser) -> None:
     )
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return value
+def _int_at_least(least: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer of at least {least}, got {text!r}"
+            )
+        return value
+
+    return parse
+
 
 
 def _add_sampler_flags(parser) -> None:
     parser.add_argument("--stats", default="edges,triangles",
                         help="comma list of graph statistics (default edges,triangles)")
-    parser.add_argument("--r-target", type=_positive_int, default=500,
+    parser.add_argument("--r-target", type=_int_at_least(1), default=500,
                         help="unconstrained sample size (default 500)")
-    parser.add_argument("--s-test", type=_positive_int, default=100,
+    parser.add_argument("--s-test", type=_int_at_least(1), default=100,
                         help="constrained sample size (default 100)")
-    parser.add_argument("--interval", type=_positive_int, default=None,
+    parser.add_argument("--interval", type=_int_at_least(1), default=None,
                         help="steps between recorded graphs (default 10 per free dyad)")
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    parser.add_argument("--seed", type=_int_at_least(0), default=0,
+                        help="master seed (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shrink applied to the containment multiplier (default 0.9)")
     p.add_argument("--stop-threshold", type=float, default=1.11,
                    help="multiplier that ends iteration (default 1.11)")
-    p.add_argument("--max-iterations", type=_positive_int, default=20,
+    p.add_argument("--max-iterations", type=_int_at_least(1), default=20,
                    help="outer iteration cap (default 20)")
     _add_sampler_flags(p)
     _add_solver_flags(p)

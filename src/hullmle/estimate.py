@@ -31,7 +31,7 @@ from .expfam import (
     statistic_histogram,
     statistics,
 )
-from .hull import HullStatus, SolverConfig, make_target_set, query
+from .hull import HullStatus, SolverConfig, TargetSet, make_target_set, query
 
 __all__ = [
     "EstimatorConfig",
@@ -82,16 +82,19 @@ class EstimatorConfig:
             raise ValueError("safety factor must be in (0, 1)")
         if not self.stop_threshold > 1.0:
             raise ValueError("stop threshold must exceed 1")
-        for name in ("r_target", "s_test", "max_outer_iterations", "mcmc_interval"):
+        for name, least in (("r_target", 1), ("s_test", 1), ("max_outer_iterations", 1),
+                            ("mcmc_interval", 1), ("seed", 0)):
             value = getattr(self, name)
             if value is None and name == "mcmc_interval":
                 continue
             try:
-                count = 0 if isinstance(value, bool) else operator.index(value)
+                number = least - 1 if isinstance(value, bool) else operator.index(value)
             except TypeError:
-                count = 0
-            if count < 1:
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+                number = least - 1
+            if number < least:
+                raise ValueError(
+                    f"{name} must be an integer of at least {least}, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -134,7 +137,9 @@ def _maximize(value, grad, x0, restart_rng):
     updates, skipping updates whose curvature is not usable.  The
     surface is smooth but not globally concave, so a failed line search
     triggers a single restart from a small perturbation before giving
-    up.
+    up.  An accepted step that leaves x unchanged is a fixed point of
+    the loop; the ascent stops there and reports the iteration limit at
+    once, with the error it would raise after the remaining iterations.
     """
     x = np.array(x0, dtype=float)
     h = np.eye(x.size)
@@ -169,7 +174,12 @@ def _maximize(value, grad, x0, restart_rng):
             continue
 
         s = step * direction
-        x = x + s
+        moved = x + s
+        if np.array_equal(moved, x):
+            # A step that moves nothing leaves x, g and h as they are, so
+            # every later iteration would repeat this one; go to the final check.
+            break
+        x = moved
         g_new = grad(x)
         y = g - g_new  # gradient of the negated objective increases
         sy = float(s @ y)
@@ -270,7 +280,12 @@ def iterate_until_contained(
                 "sampled target statistics are rank-deficient; draw more samples "
                 "or drop a statistic"
             )
-        report = min_scale(target, make_test_set(sample_z.rows), cfg.solver)
+        # The LP needs each distinct target row once; the step below reads
+        # every row, duplicates included.
+        first, _ = numerics.distinct_rows(target.points)
+        hull = TargetSet(points=target.points[first], centroid=target.centroid,
+                         rank=target.rank)
+        report = min_scale(hull, make_test_set(sample_z.rows), cfg.solver)
         multiplier = report.min_scale
         records.append(
             IterationRecord(

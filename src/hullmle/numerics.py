@@ -17,6 +17,7 @@ __all__ = [
     "as_vector",
     "center",
     "covariance",
+    "distinct_rows",
     "rank",
 ]
 
@@ -84,6 +85,23 @@ def covariance(points) -> np.ndarray:
         for j in range(i, d):
             cov[i, j] = cov[j, i] = math.fsum(centered[:, i] * centered[:, j]) / (r - 1)
     return cov
+
+
+def distinct_rows(points) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in order of first appearance.
+
+    Returns (first, inverse): points[first] holds each distinct row once,
+    at the index where it first appears, and points[first][inverse]
+    rebuilds points.  Rows are compared by their bytes, so rows that
+    differ in any bit, 0.0 against -0.0 included, stay apart.
+    """
+    arr = np.ascontiguousarray(as_matrix(points))
+    keys = arr.view(np.dtype((np.void, arr.itemsize * arr.shape[1]))).reshape(-1)
+    _, index, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(index)
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    return index[order], position[inverse.reshape(-1)]
 
 
 def rank(points) -> int:

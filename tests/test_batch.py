@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hullmle.batch import (
     mahalanobis_prune,
@@ -7,9 +9,13 @@ from hullmle.batch import (
     min_scale,
     prune_curve,
 )
-from hullmle.hull import HullStatus, make_target_set, query
+from hullmle.expfam import StatDef, mcmc_sample
+from hullmle.hull import HullStatus, TargetSet, make_target_set, query
+from hullmle.numerics import distinct_rows
 
 from conftest import random_target
+
+ET = StatDef.from_names(["edges", "triangles"])
 
 
 def test_min_scale_triangle_values(triangle):
@@ -77,6 +83,49 @@ def test_min_scale_degenerate_argmin_verdict():
     assert report.any_degenerate
     assert np.isinf(report.per_point_scales).all()
     assert report.argmin_verdict.status is HullStatus.DEGENERATE
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.booleans())
+def test_distinct_rows_give_the_answers_of_every_row(seed, nudge):
+    # Edge and triangle counts of short chains on 4 to 6 vertices repeat
+    # rows often.  With nudge, copies of three rows moved by 1e-10 in one
+    # column are shuffled in; such near-duplicates must stay apart.  The
+    # targets stay below row generation's threshold, as the estimator's
+    # masked K4 samples do.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 7))
+    theta = rng.uniform(-1.0, 1.0, size=2)
+
+    def cloud(count):
+        rows = mcmc_sample(ET, theta, n, count, seed=int(rng.integers(2**32))).rows
+        if nudge:
+            near = rows[rng.integers(count, size=3)]
+            near[:, rng.integers(2)] += 1e-10
+            rows = np.vstack([rows, near])[rng.permutation(count + 3)]
+        return rows
+
+    target = make_target_set(cloud(int(rng.integers(10, 80))))
+    assume(target.rank == 2)
+    tests = make_test_set(cloud(int(rng.integers(1, 30))))
+
+    report = min_scale(target, tests)
+    verdicts = [query(target, row) for row in tests.points]
+    gammas = np.array([v.gamma for v in verdicts])
+    assert np.array_equal(report.per_point_scales, gammas)
+    assert report.argmin == int(np.argmin(gammas))
+    expected = verdicts[report.argmin]
+    assert report.argmin_verdict.status is expected.status
+    assert report.argmin_verdict.gamma == expected.gamma
+    assert (report.argmin_verdict.minimizer is None) == (expected.minimizer is None)
+    if expected.minimizer is not None:
+        assert np.array_equal(report.argmin_verdict.minimizer, expected.minimizer)
+
+    first, _ = distinct_rows(target.points)
+    assert first.size == len({tuple(row) for row in target.points})
+    hull = TargetSet(points=target.points[first], centroid=target.centroid,
+                     rank=target.rank)
+    assert np.array_equal(min_scale(hull, tests).per_point_scales, gammas)
 
 
 def test_rescaling_invariance(triangle):

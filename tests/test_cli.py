@@ -3,12 +3,15 @@ import re
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
 
 from hullmle import batch, cli
 from hullmle.cli import main, parse_document, render_document
 from hullmle.estimate import EstimatorConfig, iterate_until_contained
-from hullmle.expfam import Graph, ObservationMask, StatDef
+from hullmle.expfam import Graph, ObservationMask, StatDef, mcmc_sample
 from hullmle.hull import make_target_set, query
+
+from conftest import masked_k4_instance
 
 TRIANGLE_CSV = "-1,0\n2,1\n1,-1\n"
 K4_GRAPH = "5\n2 3\n2 4\n2 5\n3 4\n3 5\n4 5\n"
@@ -325,8 +328,12 @@ def test_prune_curve_rejects_bad_fractions(triangle_file, tmp_path, capsys):
     ("estimate", ("--interval", "0"), "--interval: must be an integer of at least 1"),
     ("min-scale", ("--feas-tol", "-1"), "feas_tol must be positive"),
     ("demo-unbounded", ("--r-target", "0"), "--r-target: must be an integer of at least 1"),
+    ("estimate", ("--seed", "-1"), "--seed: must be an integer of at least 0, got '-1'"),
+    ("estimate", ("--seed", "2.5"), "--seed: must be an integer of at least 0, got '2.5'"),
+    ("demo-unbounded", ("--seed", "-1"), "--seed: must be an integer of at least 0"),
 ], ids=["fractions", "no-fractions", "safety-factor", "estimate-r-target",
-        "interval", "feas-tol", "demo-r-target"])
+        "interval", "feas-tol", "demo-r-target", "estimate-negative-seed",
+        "estimate-fractional-seed", "demo-negative-seed"])
 def test_out_of_range_flag_values_are_usage_errors(
         triangle_file, tmp_path, k4_files, capsys, command, argv, message):
     if command in ("min-scale", "prune-curve"):
@@ -510,11 +517,18 @@ def test_demo_unbounded_frozen_instance(k4_files, capsys):
 
 
 def test_demo_unbounded_solves_each_test_point_once(k4_files, capsys, monkeypatch):
+    # The 25 test draws repeat rows; each distinct row is queried once.
     calls = counted_queries(monkeypatch)
     code, _, _ = run(capsys, "demo-unbounded", *k4_files,
                      "--r-target", "75", "--s-test", "25", "--seed", "0")
     assert code == 0
-    assert len(calls) == 25
+    graph, mask = masked_k4_instance()
+    draws = mcmc_sample(StatDef.from_names(["edges", "triangles"]), np.zeros(2), graph.n,
+                        25, mask=mask, seed=SeedSequence(0, spawn_key=(1,))).rows
+    distinct = {tuple(row) for row in draws}
+    queried = [tuple(point) for point in calls]
+    assert len(set(queried)) == len(queried) == len(distinct) < 25
+    assert set(queried) == distinct
 
 
 def test_demo_unbounded_contained_case_is_an_error(tmp_path, capsys):

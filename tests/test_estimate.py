@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence
 
+from hullmle import estimate
 from hullmle.batch import make_test_set, min_scale
 from hullmle.estimate import (
     EstimatorConfig,
     NonexistentMle,
+    OptimizationError,
     exact_mle,
     iterate_until_contained,
     rescaled_step,
@@ -183,6 +185,105 @@ def test_iterate_is_deterministic():
     assert np.array_equal(a.final_theta, b.final_theta)
 
 
+# Traces of the masked K4 instance under _k4_cfg, pinned bit for bit as
+# float.hex: per iteration (theta_0, theta_1, multiplier), then the final
+# theta.  Every pinned trace converged.  Seed 6 draws a rank-deficient
+# target and seed 47 stalls in an inner ascent.
+K4_TRACES = {
+    0: ([("0x0.0p+0", "0x0.0p+0", "0x1.5df984dc5abbdp-1"),
+         ("-0x1.a30b0743c6e14p-1", "0x1.32eb7b5308bf7p+0", "0x1.5745d1745d174p+0")],
+        ("-0x1.a30b0743c6e14p-1", "0x1.32eb7b5308bf7p+0")),
+    1: ([("0x0.0p+0", "0x0.0p+0", "0x1.2a9272a9272a9p+0")],
+        ("0x0.0p+0", "0x0.0p+0")),
+    2: ([("0x0.0p+0", "0x0.0p+0", "0x1.ffffffffffffep-1"),
+         ("-0x1.54aab425ae610p-1", "0x1.ee9f1c7ad21cap-1", "0x1.4234f72c234f7p+0")],
+        ("-0x1.54aab425ae610p-1", "0x1.ee9f1c7ad21cap-1")),
+    3: ([("0x0.0p+0", "0x0.0p+0", "0x1.77585ebf5114fp-1"),
+         ("-0x1.7883f22907d42p-1", "0x1.7b143c6fed478p+0", "0x1.0000000000001p+0"),
+         ("-0x1.8579f65708d9bp-1", "0x1.3cb0477d3d761p+0", "0x1.cc415c9882b94p+0")],
+        ("-0x1.8579f65708d9bp-1", "0x1.3cb0477d3d761p+0")),
+    4: ([("0x0.0p+0", "0x0.0p+0", "0x1.58dc9f56a21fep-1"),
+         ("-0x1.d817f79048cc0p-1", "0x1.9958a8776d290p+0", "0x1.0000000000000p+0"),
+         ("0x1.45452f929a1e0p-6", "0x1.743999660b597p-1", "0x1.0000000000000p+0"),
+         ("-0x1.99f7e6eb49fa6p+0", "0x1.8539fa064a7f9p+0", "0x1.ffffffffffffep-1"),
+         ("-0x1.394ef823c1d99p+0", "0x1.5279cc327c8eap+0", "0x1.1ec4ec4ec4ec5p+0")],
+        ("-0x1.394ef823c1d99p+0", "0x1.5279cc327c8eap+0")),
+    5: ([("0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"),
+         ("-0x1.540d883b5307bp-1", "0x1.061ea047a6d0bp+0", "0x1.0000000000000p+0"),
+         ("-0x1.5a33bc09f6988p-3", "0x1.7043f2699366bp-1", "0x1.9ead7cd391fbep+0")],
+        ("-0x1.5a33bc09f6988p-3", "0x1.7043f2699366bp-1")),
+    7: ([("0x0.0p+0", "0x0.0p+0", "0x1.32bfb7d2e3ce7p+0")],
+        ("0x0.0p+0", "0x0.0p+0")),
+    8: ([("0x0.0p+0", "0x0.0p+0", "0x1.0000000000001p+0"),
+         ("-0x1.338c6be5a2649p+0", "0x1.415985d9f02d0p+0", "0x1.1745d1745d175p+0"),
+         ("-0x1.15d7f7a8dfd72p+0", "0x1.4f1dd50c92d0bp+0", "0x1.ffffffffffffep-1"),
+         ("-0x1.79bc880303e4cp-1", "0x1.0ed6e05a8ba3cp+0", "0x1.5812c9fb4d811p+0")],
+        ("-0x1.79bc880303e4cp-1", "0x1.0ed6e05a8ba3cp+0")),
+    9: ([("0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"),
+         ("-0x1.3bf2e14bed249p-1", "0x1.0c106b7dc8a58p+0", "0x1.5555555555555p+0")],
+        ("-0x1.3bf2e14bed249p-1", "0x1.0c106b7dc8a58p+0")),
+}
+K4_STALL_SEED = 47
+K4_STALL_LAST_ITERATE = ("0x1.000c11666df08p-3", "-0x1.8789a877c1761p-2")
+K4_STALL_GRADIENT_NORM = "0x1.dee281ac091d4p-25"
+
+
+def _hex(values) -> tuple[str, ...]:
+    return tuple(float(v).hex() for v in values)
+
+
+@pytest.mark.parametrize("seed", [*range(10), K4_STALL_SEED])
+def test_iterate_k4_trace_is_pinned(seed):
+    graph, mask = masked_k4_instance()
+    if seed == 6:
+        with pytest.raises(ValueError, match="rank-deficient"):
+            iterate_until_contained(ET, graph, mask, np.zeros(2), _k4_cfg(seed))
+        return
+    if seed == K4_STALL_SEED:
+        with pytest.raises(OptimizationError, match="inner iteration limit reached") as info:
+            iterate_until_contained(ET, graph, mask, np.zeros(2), _k4_cfg(seed))
+        assert _hex(info.value.last_iterate) == K4_STALL_LAST_ITERATE
+        assert float(info.value.gradient_norm).hex() == K4_STALL_GRADIENT_NORM
+        return
+    trace = iterate_until_contained(ET, graph, mask, np.zeros(2), _k4_cfg(seed))
+    iterations, final = K4_TRACES[seed]
+    got = [_hex([*record.theta, record.multiplier]) for record in trace.iterations]
+    assert got == iterations
+    assert trace.converged
+    assert _hex(trace.final_theta) == final
+
+
+def test_stalled_inner_ascent_ends_at_its_fixed_point(monkeypatch):
+    # On seed 47 one inner ascent reaches its maximizer within a few
+    # iterations, after which every accepted step leaves x unchanged.  It
+    # must still raise the same error, without running out its budget.
+    graph, mask = masked_k4_instance()
+    steps = []
+    original_step = estimate.rescaled_step
+
+    def recording_step(*args):
+        steps.append(args)
+        return original_step(*args)
+
+    monkeypatch.setattr(estimate, "rescaled_step", recording_step)
+    with pytest.raises(OptimizationError):
+        iterate_until_contained(ET, graph, mask, np.zeros(2), _k4_cfg(K4_STALL_SEED))
+
+    evaluations = []
+    original_value = estimate.loglik_ratio_hat
+
+    def counting_value(*args):
+        evaluations.append(None)
+        return original_value(*args)
+
+    monkeypatch.setattr(estimate, "loglik_ratio_hat", counting_value)
+    with pytest.raises(OptimizationError, match="inner iteration limit reached") as info:
+        original_step(*steps[-1])
+    assert _hex(info.value.last_iterate) == K4_STALL_LAST_ITERATE
+    assert float(info.value.gradient_norm).hex() == K4_STALL_GRADIENT_NORM
+    assert len(evaluations) < 1000
+
+
 def test_iterate_scaled_tests_become_interior():
     # Re-check the contract directly on the first iteration's samples:
     # scaling the centered test rows by safety * multiplier makes all
@@ -316,6 +417,18 @@ def test_estimator_config_counts_are_positive_integers(field, value):
     # in the sampler, or at its first draw.
     with pytest.raises(ValueError, match=field):
         EstimatorConfig(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None])
+def test_estimator_config_seed_is_a_non_negative_integer(seed):
+    # Each of these used to be accepted and fail only at the first draw.
+    with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+        EstimatorConfig(seed=seed)
+
+
+def test_estimator_config_accepts_numpy_integer_seeds():
+    assert EstimatorConfig(seed=np.uint64(7)).seed == 7
+    assert EstimatorConfig(seed=0).seed == 0
 
 
 def test_estimator_config_accepts_numpy_integer_counts():

@@ -9,6 +9,7 @@ from hullmle.numerics import (
     as_vector,
     center,
     covariance,
+    distinct_rows,
     rank,
 )
 
@@ -31,6 +32,15 @@ def test_as_vector_accepts_row_and_column_shapes():
 def test_as_vector_rejects_true_matrix():
     with pytest.raises(ValueError):
         as_vector([[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_distinct_rows_in_order_of_first_appearance():
+    pts = np.array([[3.0, 1.0], [1.0, 2.0], [3.0, 1.0], [0.0, 0.0],
+                    [1.0, 2.0], [-0.0, 0.0], [1.0, 2.0 + 1e-10]])
+    first, inverse = distinct_rows(pts)
+    assert first.tolist() == [0, 1, 3, 5, 6]
+    assert inverse.tolist() == [0, 1, 0, 2, 1, 3, 4]
+    assert np.array_equal(pts[first][inverse], pts)
 
 
 def test_center_subtracts_mean_exactly():
