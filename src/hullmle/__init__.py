@@ -42,6 +42,7 @@ from .expfam import (
     exact_moments,
     loglik_ratio_grad,
     loglik_ratio_hat,
+    loglik_ratio_hess,
     mcmc_sample,
     statistic_histogram,
     statistics,
@@ -109,6 +110,7 @@ __all__ = [
     "iterate_until_contained",
     "loglik_ratio_grad",
     "loglik_ratio_hat",
+    "loglik_ratio_hess",
     "mahalanobis_prune",
     "make_target_set",
     "make_test_set",

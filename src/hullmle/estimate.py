@@ -8,7 +8,9 @@ factor of the test points, and either stops (factor comfortably above
 1) or maximizes the ratio surface with the test rows shrunk to 90% of
 that factor, which guarantees the surface being optimized has a
 maximizer.  An exact-MLE oracle over enumerable spaces validates the
-whole loop on toy instances.
+whole loop on toy instances.  Both maximize a difference of two
+log-partition functions, whose gradient and Hessian are differences of
+means and covariances, with the same Newton ascent.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .expfam import (
     exact_moments,
     loglik_ratio_grad,
     loglik_ratio_hat,
+    loglik_ratio_hess,
     mcmc_sample,
     statistic_histogram,
     statistics,
@@ -57,6 +60,15 @@ class OptimizationError(RuntimeError):
         self.gradient_norm = gradient_norm
 
 
+def _check_count(name: str, value, least: int) -> None:
+    try:
+        number = least - 1 if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = least - 1
+    if number < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Knobs of the outer loop.
@@ -85,16 +97,8 @@ class EstimatorConfig:
         for name, least in (("r_target", 1), ("s_test", 1), ("max_outer_iterations", 1),
                             ("mcmc_interval", 1), ("seed", 0)):
             value = getattr(self, name)
-            if value is None and name == "mcmc_interval":
-                continue
-            try:
-                number = least - 1 if isinstance(value, bool) else operator.index(value)
-            except TypeError:
-                number = least - 1
-            if number < least:
-                raise ValueError(
-                    f"{name} must be an integer of at least {least}, got {value!r}"
-                )
+            if not (value is None and name == "mcmc_interval"):
+                _check_count(name, value, least)
 
 
 @dataclass(frozen=True)
@@ -124,81 +128,71 @@ class EstimatorTrace:
         return [record.multiplier for record in self.iterations]
 
 
-# The inner maximizer stops once the gradient norm reaches STEP_GRADIENT_TOL
-# and gives up after STEP_MAX_ITERATIONS quasi-Newton iterations.
-STEP_GRADIENT_TOL = 1e-8
-STEP_MAX_ITERATIONS = 500
+# Every likelihood ascent stops once the largest gradient entry reaches
+# GRADIENT_TOL and gives up after MAX_ITERATIONS Newton iterations.
+GRADIENT_TOL = 1e-8
+MAX_ITERATIONS = 200
+
+# Smallest move of an ascent step, relative to the largest parameter
+# entry (or 1), that the line search still tries: a few units of rounding.
+MOVE_RESOLUTION = 4.0 * np.finfo(np.float64).eps
 
 
-def _maximize(value, grad, x0, restart_rng):
-    """Quasi-Newton ascent with backtracking; one random restart.
+def _ascend(parts, x0, gradient_tol, max_iterations, bound=np.inf):
+    """Newton ascent with a backtracking line search.
 
-    Maintains an inverse-Hessian approximation via rank-two secant
-    updates, skipping updates whose curvature is not usable.  The
-    surface is smooth but not globally concave, so a failed line search
-    triggers a single restart from a small perturbation before giving
-    up.  An accepted step that leaves x unchanged is a fixed point of
-    the loop; the ascent stops there and reports the iteration limit at
-    once, with the error it would raise after the remaining iterations.
+    parts(x) returns the value, gradient and Hessian at x.  The Newton
+    direction falls back to the gradient where it is not an ascent
+    direction.  A step to an iterate whose largest entry exceeds bound
+    raises NonexistentMle, whatever the gradient there.
     """
     x = np.array(x0, dtype=float)
-    h = np.eye(x.size)
-    g = grad(x)
-    restarted = False
-    for _ in range(STEP_MAX_ITERATIONS):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= STEP_GRADIENT_TOL:
+    value, gradient, hessian = parts(x)
+    for _ in range(max_iterations):
+        gnorm = float(np.abs(gradient).max())
+        if gnorm <= gradient_tol:
             return x
-        direction = h @ g
-        if float(direction @ g) <= 0.0:
-            direction = g.copy()
-            h = np.eye(x.size)
+        try:
+            direction = np.linalg.solve(-hessian, gradient)
+        except np.linalg.LinAlgError:
+            direction = gradient.copy()
+        if float(direction @ gradient) <= 0.0:
+            direction = gradient.copy()
+        slope = float(direction @ gradient)
 
-        f0 = value(x)
-        slope = float(direction @ g)
+        # Halve the step until the Armijo test passes, while it still
+        # moves x by more than its rounding.  Below that the value cannot
+        # rank candidates (noise would pass steps that move nothing), so
+        # the full step is taken if it reduces the gradient, as Newton's
+        # step does near the maximizer; else the search fails.
         step = 1.0
-        while step >= 1e-14:
+        reach = float(np.abs(direction).max())
+        floor = MOVE_RESOLUTION * max(1.0, float(np.abs(x).max()))
+        while step >= 1e-14 and step * reach > floor:
             candidate = x + step * direction
-            if value(candidate) >= f0 + 1e-4 * step * slope:
+            cand = parts(candidate)
+            if cand[0] >= value + 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
-            if restarted:
+            candidate = x + direction
+            cand = parts(candidate)
+            if not float(np.abs(cand[1]).max()) < gnorm:
                 raise OptimizationError(
-                    "line search failed twice", last_iterate=x, gradient_norm=gnorm
+                    "likelihood line search failed", last_iterate=x, gradient_norm=gnorm
                 )
-            restarted = True
-            x = np.array(x0, dtype=float) + 1e-4 * restart_rng.standard_normal(x.size)
-            h = np.eye(x.size)
-            g = grad(x)
-            continue
-
-        s = step * direction
-        moved = x + s
-        if np.array_equal(moved, x):
-            # A step that moves nothing leaves x, g and h as they are, so
-            # every later iteration would repeat this one; go to the final check.
-            break
-        x = moved
-        g_new = grad(x)
-        y = g - g_new  # gradient of the negated objective increases
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            rho = 1.0 / sy
-            hy = h @ y
-            h = (
-                h
-                - rho * (np.outer(s, hy) + np.outer(hy, s))
-                + rho * (1.0 + rho * float(y @ hy)) * np.outer(s, s)
+        x = candidate
+        value, gradient, hessian = cand
+        if float(np.abs(x).max()) > bound:
+            raise NonexistentMle(
+                "likelihood ascent diverges; no finite maximizer exists"
             )
-        g = g_new
 
-    gnorm = float(np.linalg.norm(grad(x)))
-    if gnorm > STEP_GRADIENT_TOL:
-        raise OptimizationError(
-            "inner iteration limit reached", last_iterate=x, gradient_norm=gnorm
-        )
-    return x
+    raise OptimizationError(
+        "likelihood ascent did not converge",
+        last_iterate=x,
+        gradient_norm=float(np.abs(gradient).max()),
+    )
 
 
 def rescaled_step(theta0, g_y, g_z, scale: float, cfg: EstimatorConfig) -> np.ndarray:
@@ -207,20 +201,19 @@ def rescaled_step(theta0, g_y, g_z, scale: float, cfg: EstimatorConfig) -> np.nd
     Maximizes the sampled likelihood ratio with the centered test rows
     multiplied by safety_factor * scale, starting from no change, and
     returns the updated parameter.  Inputs must already be centered by
-    the target-sample column mean.
+    the target-sample column mean.  The ascent is exact_mle's, on the
+    sampled value, gradient and Hessian; the shrunk test rows lie inside
+    the target hull, so the surface has a maximizer.
     """
     theta = numerics.as_vector(theta0, "theta0")
-    if not np.isfinite(scale) or scale <= 0.0:
-        raise ValueError("scale must be finite and positive")
     effective = cfg.safety_factor * scale
-    restart_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(97,)))
-    dtheta = _maximize(
-        value=lambda dt: loglik_ratio_hat(dt, g_y, g_z, effective),
-        grad=lambda dt: loglik_ratio_grad(dt, g_y, g_z, effective),
-        x0=np.zeros(theta.size),
-        restart_rng=restart_rng,
-    )
-    return theta + dtheta
+
+    def parts(dt):
+        return (loglik_ratio_hat(dt, g_y, g_z, effective),
+                loglik_ratio_grad(dt, g_y, g_z, effective),
+                loglik_ratio_hess(dt, g_y, g_z, effective))
+
+    return theta + _ascend(parts, np.zeros(theta.size), GRADIENT_TOL, MAX_ITERATIONS)
 
 
 def _variance_condition(y_rows: np.ndarray, z_rows: np.ndarray) -> bool | None:
@@ -310,21 +303,17 @@ def iterate_until_contained(
 
 # Ascent iterates beyond this norm are treated as divergence to a
 # boundary direction rather than approach to a finite maximizer; along
-# such rays the gradient also vanishes, so the bound must be checked
-# even after the gradient test passes.
+# such rays the gradient also vanishes, so the bound is checked after
+# every step, before the gradient test.
 DIVERGENCE_BOUND = 20.0
-
-# Smallest move of an ascent step, relative to the largest parameter
-# entry (or 1), that the line search still tries: a few units of rounding.
-MOVE_RESOLUTION = 4.0 * np.finfo(np.float64).eps
 
 
 def exact_mle(
     stats: StatDef,
     y_obs: Graph,
     mask: ObservationMask | None = None,
-    gradient_tol: float = 1e-8,
-    max_iterations: int = 200,
+    gradient_tol: float = GRADIENT_TOL,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> np.ndarray:
     """Maximum-likelihood parameter by exact enumeration.
 
@@ -335,6 +324,9 @@ def exact_mle(
     the difference of constrained and unconstrained means and existence
     is detected by divergence of the ascent instead.
     """
+    if not gradient_tol > 0.0:
+        raise ValueError(f"gradient_tol must be positive, got {gradient_tol!r}")
+    _check_count("max_iterations", max_iterations, 1)
     mask = _estimation_mask(y_obs, mask)
     if mask.observed_dyads.all():
         hull_set = make_target_set(statistic_histogram(stats, y_obs.n)[0])
@@ -348,59 +340,7 @@ def exact_mle(
     def loglik_parts(theta):
         lk_con, mean_con, cov_con = exact_moments(stats, theta, y_obs.n, mask)
         lk_full, mean_full, cov_full = exact_moments(stats, theta, y_obs.n, None)
-        value = lk_con - lk_full
-        gradient = mean_con - mean_full
-        hessian = cov_con - cov_full
-        return value, gradient, hessian
+        return lk_con - lk_full, mean_con - mean_full, cov_con - cov_full
 
-    theta = np.zeros(stats.dim)
-    value, gradient, hessian = loglik_parts(theta)
-    for _ in range(max_iterations):
-        if float(np.abs(gradient).max()) <= gradient_tol:
-            if float(np.abs(theta).max()) > DIVERGENCE_BOUND:
-                raise NonexistentMle(
-                    "likelihood ascent diverges; no finite maximizer exists"
-                )
-            return theta
-        try:
-            direction = np.linalg.solve(-hessian, gradient)
-        except np.linalg.LinAlgError:
-            direction = gradient.copy()
-        if float(direction @ gradient) <= 0.0:
-            direction = gradient.copy()
-
-        # Halve the step until the Armijo test passes, while it still
-        # moves theta by more than its rounding.  Below that the value
-        # cannot rank candidates (noise would pass steps that move
-        # nothing), so the full step is taken if it reduces the gradient,
-        # as Newton's step does near the maximizer; else the search fails.
-        step = 1.0
-        reach = float(np.abs(direction).max())
-        floor = MOVE_RESOLUTION * max(1.0, float(np.abs(theta).max()))
-        while step >= 1e-14 and step * reach > floor:
-            candidate = theta + step * direction
-            cand = loglik_parts(candidate)
-            if cand[0] >= value + 1e-4 * step * float(direction @ gradient):
-                break
-            step *= 0.5
-        else:
-            candidate = theta + direction
-            cand = loglik_parts(candidate)
-            if not float(np.abs(cand[1]).max()) < float(np.abs(gradient).max()):
-                raise OptimizationError(
-                    "exact likelihood line search failed",
-                    last_iterate=theta,
-                    gradient_norm=float(np.abs(gradient).max()),
-                )
-        theta = candidate
-        value, gradient, hessian = cand
-        if float(np.abs(theta).max()) > DIVERGENCE_BOUND:
-            raise NonexistentMle(
-                "likelihood ascent diverges; no finite maximizer exists"
-            )
-
-    raise OptimizationError(
-        "exact likelihood ascent did not converge",
-        last_iterate=theta,
-        gradient_norm=float(np.abs(gradient).max()),
-    )
+    return _ascend(loglik_parts, np.zeros(stats.dim), gradient_tol, max_iterations,
+                   bound=DIVERGENCE_BOUND)

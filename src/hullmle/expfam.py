@@ -50,6 +50,7 @@ __all__ = [
     "mcmc_sample",
     "loglik_ratio_hat",
     "loglik_ratio_grad",
+    "loglik_ratio_hess",
     "demonstrate_unbounded",
 ]
 
@@ -549,6 +550,23 @@ def _log_mean_exp(x: np.ndarray) -> float:
     return top + math.log(float(np.mean(np.exp(x - top))))
 
 
+def _ratio_args(dtheta, g_y, g_z, scale):
+    dt = numerics.as_vector(dtheta, "dtheta")
+    ys = _rows_of(g_y)
+    zs = _rows_of(g_z)
+    if ys.shape[1] != dt.size or zs.shape[1] != dt.size:
+        raise ValueError("sample rows and dtheta disagree on dimension")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError("scale must be finite and positive")
+    return dt, ys, zs
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    w = np.exp(x - x.max())
+    w /= w.sum()
+    return w
+
+
 def loglik_ratio_hat(dtheta, g_y, g_z, scale: float = 1.0) -> float:
     """Sampled log-likelihood-ratio estimate between theta0 + dtheta and
     theta0.
@@ -558,13 +576,7 @@ def loglik_ratio_hat(dtheta, g_y, g_z, scale: float = 1.0) -> float:
     shrinks the test sample toward the target centroid when both inputs
     are centered by the unconstrained column mean.
     """
-    dt = numerics.as_vector(dtheta, "dtheta")
-    ys = _rows_of(g_y)
-    zs = _rows_of(g_z)
-    if ys.shape[1] != dt.size or zs.shape[1] != dt.size:
-        raise ValueError("sample rows and dtheta disagree on dimension")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    dt, ys, zs = _ratio_args(dtheta, g_y, g_z, scale)
     return _log_mean_exp(scale * (zs @ dt)) - _log_mean_exp(ys @ dt)
 
 
@@ -572,20 +584,21 @@ def loglik_ratio_grad(dtheta, g_y, g_z, scale: float = 1.0) -> np.ndarray:
     """Gradient of loglik_ratio_hat in dtheta: the difference of
     softmax-weighted row means, the constrained side carrying scale both
     as row multiplier and weight temperature."""
-    dt = numerics.as_vector(dtheta, "dtheta")
-    ys = _rows_of(g_y)
-    zs = _rows_of(g_z)
-    if ys.shape[1] != dt.size or zs.shape[1] != dt.size:
-        raise ValueError("sample rows and dtheta disagree on dimension")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    dt, ys, zs = _ratio_args(dtheta, g_y, g_z, scale)
+    return scale * (_softmax(scale * (zs @ dt)) @ zs) - _softmax(ys @ dt) @ ys
 
-    def soft_mean(rows, x):
-        w = np.exp(x - x.max())
-        w /= w.sum()
-        return w @ rows
 
-    return scale * soft_mean(zs, scale * (zs @ dt)) - soft_mean(ys, ys @ dt)
+def loglik_ratio_hess(dtheta, g_y, g_z, scale: float = 1.0) -> np.ndarray:
+    """Hessian of loglik_ratio_hat in dtheta: the difference of
+    softmax-weighted row covariances, the constrained one times scale**2."""
+    dt, ys, zs = _ratio_args(dtheta, g_y, g_z, scale)
+
+    def soft_cov(rows, x):
+        w = _softmax(x)
+        centered = rows - w @ rows
+        return (w[:, None] * centered).T @ centered
+
+    return scale * scale * soft_cov(zs, scale * (zs @ dt)) - soft_cov(ys, ys @ dt)
 
 
 def demonstrate_unbounded(g_y, g_z, direction, alphas) -> list[float]:

@@ -19,6 +19,7 @@ from hullmle.expfam import (
     exact_moments,
     loglik_ratio_grad,
     loglik_ratio_hat,
+    loglik_ratio_hess,
     mcmc_sample,
     statistic_histogram,
     statistics,
@@ -407,10 +408,14 @@ def test_ratio_hat_antisymmetric_under_sample_swap():
         assert loglik_ratio_hat(dt, ys, zs) == -loglik_ratio_hat(dt, zs, ys)
 
 
-def test_ratio_hat_scale_must_be_positive():
-    rows = np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        loglik_ratio_hat(np.zeros(2), rows, rows, scale=0.0)
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("ratio", [loglik_ratio_hat, loglik_ratio_grad, loglik_ratio_hess],
+                         ids=lambda ratio: ratio.__name__)
+def test_ratio_scale_must_be_finite_and_positive(ratio, scale):
+    # A NaN or infinite scale used to pass the check and return NaN.
+    rows = np.ones((3, 2))
+    with pytest.raises(ValueError, match="scale must be finite and positive"):
+        ratio(np.zeros(2), rows, rows, scale=scale)
 
 
 def test_ratio_grad_matches_finite_differences():
@@ -431,6 +436,26 @@ def test_ratio_grad_matches_finite_differences():
             ) / (2 * h)
             denom = max(1.0, abs(fd))
             assert abs(grad[k] - fd) / denom <= 1e-5
+
+
+def test_ratio_hess_matches_finite_differences():
+    rng = np.random.default_rng(34)
+    ys = rng.standard_normal((40, 2))
+    zs = rng.standard_normal((30, 2)) * 0.8
+    for _ in range(20):
+        dt = rng.standard_normal(2) * 0.5
+        scale = float(rng.uniform(0.5, 1.0))
+        hess = loglik_ratio_hess(dt, ys, zs, scale=scale)
+        h = 1e-6
+        for k in range(2):
+            up = dt.copy(); up[k] += h
+            dn = dt.copy(); dn[k] -= h
+            fd = (
+                loglik_ratio_grad(up, ys, zs, scale=scale)
+                - loglik_ratio_grad(dn, ys, zs, scale=scale)
+            ) / (2 * h)
+            denom = np.maximum(1.0, np.abs(fd))
+            assert np.all(np.abs(hess[:, k] - fd) / denom <= 1e-5)
 
 
 def test_demonstrate_unbounded_grows_along_separating_ray():

@@ -50,3 +50,18 @@ def test_star_import_succeeds():
     namespace = {}
     exec("from hullmle import *", namespace)
     assert "query" in namespace
+
+
+TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
+
+
+def test_every_trace_target_resolves():
+    # The benchmark's tracer wraps these names where callers look them up
+    # and stops at install if one is gone.  Its source is read, not imported,
+    # so no bytecode is written beside it.
+    namespace = {"__name__": "tracer"}
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), namespace)
+    targets = namespace["TARGETS"]
+    missing = [f"{module}.{attr}" for module, attr, *_ in targets
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert targets and missing == []
