@@ -15,7 +15,6 @@ means and covariances, with the same Newton ascent.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,15 +59,6 @@ class OptimizationError(RuntimeError):
         self.gradient_norm = gradient_norm
 
 
-def _check_count(name: str, value, least: int) -> None:
-    try:
-        number = least - 1 if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        number = least - 1
-    if number < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Knobs of the outer loop.
@@ -98,7 +88,7 @@ class EstimatorConfig:
                             ("mcmc_interval", 1), ("seed", 0)):
             value = getattr(self, name)
             if not (value is None and name == "mcmc_interval"):
-                _check_count(name, value, least)
+                numerics.check_count(name, value, least)
 
 
 @dataclass(frozen=True)
@@ -326,7 +316,7 @@ def exact_mle(
     """
     if not gradient_tol > 0.0:
         raise ValueError(f"gradient_tol must be positive, got {gradient_tol!r}")
-    _check_count("max_iterations", max_iterations, 1)
+    numerics.check_count("max_iterations", max_iterations, 1)
     mask = _estimation_mask(y_obs, mask)
     if mask.observed_dyads.all():
         hull_set = make_target_set(statistic_histogram(stats, y_obs.n)[0])

@@ -421,12 +421,21 @@ def mcmc_sample(
     values with free dyads filled independently at random, runs
     10*interval burn-in steps, then records g every interval steps.
     Fully masked spaces have a single state, returned count times.
+
+    Draws come in blocks of up to 8192 steps: each block takes its dyad
+    picks, then its acceptance uniforms, from the generator.  A hold draw
+    uses up its two random numbers but no loop iteration; only toggle
+    draws run in Python, split at the block's recording steps.  Samples
+    and graphs are bit-identical to a chain that runs one iteration per
+    step, hold steps included.  count and interval must be integers of
+    at least 1 (numpy integers pass, bools do not).
     """
     th = numerics.as_vector(theta, "theta")
     if th.size != stats.dim:
         raise ValueError(f"theta has {th.size} entries, statistics have {stats.dim}")
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    count = numerics.check_count("count", count, 1)
+    if interval is not None:
+        interval = numerics.check_count("interval", interval, 1)
     free, base = _space(n, mask)
     n_free = free.size
 
@@ -438,108 +447,95 @@ def mcmc_sample(
 
     if interval is None:
         interval = 10 * n_free
-    if interval < 1:
-        raise ValueError("interval must be at least 1")
 
     rng = np.random.default_rng(seed)
     state = base.copy()
     state[free] = rng.random(n_free) < 0.5
 
-    pairs = dyad_pairs(n)
-    # Adjacency as per-vertex bitmasks; popcount of an AND gives common
+    # Per free dyad: its endpoints and whether the edge is on.  Adjacency
+    # is kept as per-vertex bitmasks; popcount of an AND gives common
     # neighbors, the triangle delta of a toggle.
+    pairs = dyad_pairs(n)
+    ui = pairs[free, 0].tolist()
+    uj = pairs[free, 1].tolist()
+    on = state[free].tolist()
     adj = [0] * n
     deg = [0] * n
-    for k_dyad in np.flatnonzero(state):
-        i, j = int(pairs[k_dyad, 0]), int(pairs[k_dyad, 1])
+    edge_list = pairs[state].tolist()
+    for i, j in edge_list:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
         deg[i] += 1
         deg[j] += 1
-    edge_bit = state.astype(np.int8).tolist()
-
-    start = statistics(Graph(n=n, edges=state), stats)
-    lookup = {term: idx for idx, term in enumerate(stats.terms)}
-    n_edges = float(start[lookup[StatTerm.EDGES]]) if StatTerm.EDGES in lookup else float(state.sum())
-    n_stars = float(sum(v * (v - 1) // 2 for v in deg))
-    n_tris = 0.0
-    if StatTerm.TRIANGLES in lookup:
-        n_tris = float(start[lookup[StatTerm.TRIANGLES]])
-
-    t_edge = th[lookup[StatTerm.EDGES]] if StatTerm.EDGES in lookup else 0.0
-    t_star = th[lookup[StatTerm.TWO_STARS]] if StatTerm.TWO_STARS in lookup else 0.0
-    t_tri = th[lookup[StatTerm.TRIANGLES]] if StatTerm.TRIANGLES in lookup else 0.0
-
-    ui = [int(pairs[k_dyad, 0]) for k_dyad in free]
-    uj = [int(pairs[k_dyad, 1]) for k_dyad in free]
-    free_list = [int(k_dyad) for k_dyad in free]
+    # Counts and deltas stay Python ints: they are exact, and an int
+    # operand converts to the same float its value has.
+    n_edges = len(edge_list)
+    n_stars = sum(v * (v - 1) // 2 for v in deg)
+    n_tris = sum((adj[i] & adj[j]).bit_count() for i, j in edge_list) // 3
+    coef = dict(zip(stats.terms, th.tolist()))
+    t_edge = coef.get(StatTerm.EDGES, 0.0)
+    t_star = coef.get(StatTerm.TWO_STARS, 0.0)
+    t_tri = coef.get(StatTerm.TRIANGLES, 0.0)
 
     burn_in = 10 * interval
     total_steps = burn_in + count * interval
-    rows = np.empty((count, stats.dim))
+    tallies = []
     graphs: list[Graph] = []
     next_record = burn_in + interval
-    recorded = 0
 
-    pick_block = np.empty(0, dtype=np.int64)
-    logu_block = np.empty(0)
-    block_pos = 0
-
-    for step in range(1, total_steps + 1):
-        if block_pos >= pick_block.size:
-            size = min(_RNG_BLOCK, total_steps - step + 1)
-            # Draws in [n_free, 2*n_free) are lazy hold steps.
-            pick_block = rng.integers(0, 2 * n_free, size=size)
-            with np.errstate(divide="ignore"):
-                logu_block = np.log(rng.random(size=size))
-            block_pos = 0
-        t = int(pick_block[block_pos])
-        logu = float(logu_block[block_pos])
-        block_pos += 1
-
-        if t < n_free:
-            i, j = ui[t], uj[t]
-            k_dyad = free_list[t]
-            common = (adj[i] & adj[j]).bit_count()
-            if edge_bit[k_dyad]:
-                d_edges = -1.0
-                d_stars = -float(deg[i] + deg[j] - 2)
-                d_tris = -float(common)
-            else:
-                d_edges = 1.0
-                d_stars = float(deg[i] + deg[j])
-                d_tris = float(common)
-            gain = t_edge * d_edges + t_star * d_stars + t_tri * d_tris
-
-            if logu < gain:
-                if edge_bit[k_dyad]:
-                    edge_bit[k_dyad] = 0
-                    adj[i] &= ~(1 << j)
-                    adj[j] &= ~(1 << i)
-                    deg[i] -= 1
-                    deg[j] -= 1
+    done = 0
+    while done < total_steps:
+        size = min(_RNG_BLOCK, total_steps - done)
+        # Draws in [n_free, 2*n_free) are lazy hold steps: they use up
+        # their random numbers and change nothing, so only the toggle
+        # draws reach the loop below.
+        picks = rng.integers(0, 2 * n_free, size=size)
+        with np.errstate(divide="ignore"):
+            logus = np.log(rng.random(size=size))
+        moves = np.flatnonzero(picks < n_free)
+        toggles = picks[moves].tolist()
+        logus = logus[moves].tolist()
+        # Block positions of the recording steps; a record follows every
+        # toggle drawn at or before its position.
+        marks = range(next_record - done - 1, size, interval)
+        cuts = np.searchsorted(moves, marks, side="right").tolist()
+        cuts.append(len(toggles))
+        lo = 0
+        for k, cut in enumerate(cuts):
+            for t, logu in zip(toggles[lo:cut], logus[lo:cut]):
+                i = ui[t]
+                j = uj[t]
+                common = (adj[i] & adj[j]).bit_count()
+                if on[t]:
+                    d_edges = -1
+                    d_stars = 2 - deg[i] - deg[j]
+                    d_tris = -common
                 else:
-                    edge_bit[k_dyad] = 1
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                    deg[i] += 1
-                    deg[j] += 1
-                n_edges += d_edges
-                n_stars += d_stars
-                n_tris += d_tris
+                    d_edges = 1
+                    d_stars = deg[i] + deg[j]
+                    d_tris = common
+                if logu < t_edge * d_edges + t_star * d_stars + t_tri * d_tris:
+                    on[t] = not on[t]
+                    adj[i] ^= 1 << j
+                    adj[j] ^= 1 << i
+                    deg[i] += d_edges
+                    deg[j] += d_edges
+                    n_edges += d_edges
+                    n_stars += d_stars
+                    n_tris += d_tris
+            lo = cut
+            if k < len(marks):
+                tallies.append((n_edges, n_stars, n_tris))
+                if keep_graphs:
+                    edges = base.copy()
+                    edges[free] = on
+                    graphs.append(Graph(n=n, edges=edges))
+        next_record += len(marks) * interval
+        done += size
 
-        if step == next_record:
-            values = {
-                StatTerm.EDGES: n_edges,
-                StatTerm.TWO_STARS: n_stars,
-                StatTerm.TRIANGLES: n_tris,
-            }
-            rows[recorded] = [values[term] for term in stats.terms]
-            if keep_graphs:
-                graphs.append(Graph(n=n, edges=np.array(edge_bit, dtype=bool)))
-            recorded += 1
-            next_record += interval
-
+    order = [(StatTerm.EDGES, StatTerm.TWO_STARS, StatTerm.TRIANGLES).index(term)
+             for term in stats.terms]
+    rows = np.array([[tally[c] for c in order] for tally in tallies], dtype=np.float64)
     return StatMatrix(rows=rows, graphs=tuple(graphs) if keep_graphs else None)
 
 

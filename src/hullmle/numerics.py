@@ -9,6 +9,7 @@ infinite entries.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -16,6 +17,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "center",
+    "check_count",
     "covariance",
     "distinct_rows",
     "rank",
@@ -49,6 +51,19 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or infinite entries")
     return arr
+
+
+def check_count(name: str, value, least: int) -> int:
+    """value as an int after checking that it is an integer of at least
+    least; a bool, a float or any other non-integer is rejected, numpy
+    integers pass."""
+    try:
+        number = least - 1 if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = least - 1
+    if number < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return number
 
 
 def _fsum_columns(points: np.ndarray) -> np.ndarray:

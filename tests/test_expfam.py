@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -11,6 +12,7 @@ from hullmle.expfam import (
     Graph,
     ObservationMask,
     StatDef,
+    StatTerm,
     demonstrate_unbounded,
     dyad_pairs,
     enumerate_statistics,
@@ -380,10 +382,157 @@ def test_fully_masked_space_returns_observed_stats():
 
 
 def test_sampler_validates_count_and_interval():
-    with pytest.raises(ValueError):
-        mcmc_sample(EDGES, np.zeros(1), 4, 0)
-    with pytest.raises(ValueError):
-        mcmc_sample(EDGES, np.zeros(1), 4, 5, interval=0)
+    cases = [("count", 0), ("count", -1), ("count", 2.5), ("count", True), ("count", "3"),
+             ("interval", 0), ("interval", 2.5), ("interval", True),
+             ("interval", np.float64(4.0))]
+    for name, value in cases:
+        args = {"count": 5, "interval": 3, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer of at least 1"):
+            mcmc_sample(EDGES, np.zeros(1), 4, args["count"], interval=args["interval"])
+    # A given interval is checked even where a fully observed space needs none.
+    full = ObservationMask.all_observed(Graph.empty(4))
+    with pytest.raises(ValueError, match="interval must be an integer of at least 1"):
+        mcmc_sample(EDGES, np.zeros(1), 4, 5, interval=0, mask=full)
+
+
+def test_sampler_takes_numpy_integer_counts():
+    a = mcmc_sample(ET, np.array([0.2, 0.1]), 5, np.int64(7), interval=np.int32(3),
+                    seed=SeedSequence(4))
+    b = mcmc_sample(ET, np.array([0.2, 0.1]), 5, 7, interval=3, seed=SeedSequence(4))
+    assert a.rows.tobytes() == b.rows.tobytes()
+
+
+def reference_sample(stats, theta, n, count, interval=None, mask=None, seed=None):
+    """The sampler as one Python iteration per step, hold draws included:
+    the chain mcmc_sample must reproduce bit for bit.  Returns the rows
+    and the graphs at each record."""
+    th = np.asarray(theta, dtype=np.float64)
+    free, base = expfam._space(n, mask)
+    n_free = free.size
+    if n_free == 0:
+        g0 = statistics(Graph(n=n, edges=base), stats)
+        return np.tile(g0, (count, 1)), [Graph(n=n, edges=base.copy())] * count
+    if interval is None:
+        interval = 10 * n_free
+
+    rng = np.random.default_rng(seed)
+    state = base.copy()
+    state[free] = rng.random(n_free) < 0.5
+    pairs = dyad_pairs(n)
+    adj = [0] * n
+    deg = [0] * n
+    for k_dyad in np.flatnonzero(state):
+        i, j = int(pairs[k_dyad, 0]), int(pairs[k_dyad, 1])
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        deg[i] += 1
+        deg[j] += 1
+    edge_bit = state.astype(np.int8).tolist()
+
+    start = statistics(Graph(n=n, edges=state), stats)
+    lookup = {term: idx for idx, term in enumerate(stats.terms)}
+    terms = (StatTerm.EDGES, StatTerm.TWO_STARS, StatTerm.TRIANGLES)
+    coef = [th[lookup[term]] if term in lookup else 0.0 for term in terms]
+    n_edges = float(state.sum())
+    n_stars = float(sum(v * (v - 1) // 2 for v in deg))
+    n_tris = float(start[lookup[StatTerm.TRIANGLES]]) if StatTerm.TRIANGLES in lookup else 0.0
+
+    burn_in = 10 * interval
+    total_steps = burn_in + count * interval
+    rows = np.empty((count, stats.dim))
+    graphs = []
+    next_record = burn_in + interval
+    pick_block = np.empty(0, dtype=np.int64)
+    logu_block = np.empty(0)
+    block_pos = 0
+    for step in range(1, total_steps + 1):
+        if block_pos >= pick_block.size:
+            size = min(expfam._RNG_BLOCK, total_steps - step + 1)
+            pick_block = rng.integers(0, 2 * n_free, size=size)
+            with np.errstate(divide="ignore"):
+                logu_block = np.log(rng.random(size=size))
+            block_pos = 0
+        t = int(pick_block[block_pos])
+        logu = float(logu_block[block_pos])
+        block_pos += 1
+        if t < n_free:
+            i, j = int(pairs[free[t], 0]), int(pairs[free[t], 1])
+            k_dyad = int(free[t])
+            common = (adj[i] & adj[j]).bit_count()
+            if edge_bit[k_dyad]:
+                d = (-1.0, -float(deg[i] + deg[j] - 2), -float(common))
+            else:
+                d = (1.0, float(deg[i] + deg[j]), float(common))
+            if logu < coef[0] * d[0] + coef[1] * d[1] + coef[2] * d[2]:
+                step_sign = -1 if edge_bit[k_dyad] else 1
+                edge_bit[k_dyad] = 1 - edge_bit[k_dyad]
+                adj[i] ^= 1 << j
+                adj[j] ^= 1 << i
+                deg[i] += step_sign
+                deg[j] += step_sign
+                n_edges += d[0]
+                n_stars += d[1]
+                n_tris += d[2]
+        if step == next_record:
+            values = dict(zip(terms, (n_edges, n_stars, n_tris)))
+            rows[len(graphs)] = [values[term] for term in stats.terms]
+            graphs.append(Graph(n=n, edges=np.array(edge_bit, dtype=bool)))
+            next_record += interval
+    return rows, graphs
+
+
+def assert_same_chain(stats, theta, n, count, interval=None, mask=None, seed=None):
+    sample = mcmc_sample(stats, theta, n, count, interval=interval, mask=mask, seed=seed,
+                         keep_graphs=True)
+    rows, graphs = reference_sample(stats, theta, n, count, interval, mask, seed)
+    assert sample.rows.dtype == np.float64 and sample.rows.shape == rows.shape
+    assert sample.rows.strides == rows.strides
+    assert sample.rows.tobytes() == rows.tobytes()
+    assert len(sample.graphs) == len(graphs)
+    for got, want in zip(sample.graphs, graphs):
+        assert got.n == want.n and got.edges.tobytes() == want.edges.tobytes()
+
+
+STAT_SETS = [StatDef(terms) for size in (1, 2, 3)
+             for terms in itertools.combinations(tuple(StatTerm), size)]
+
+
+@pytest.mark.parametrize("mask_kind", ["none", "partial", "full"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_sampler_matches_per_step_reference(n, mask_kind):
+    rng = np.random.default_rng(1000 * n + len(mask_kind))
+    m = n * (n - 1) // 2
+    graph = Graph(n=n, edges=rng.random(m) < 0.4)
+    mask = {"none": None,
+            "partial": ObservationMask.from_graph(graph, rng.random(m) < 0.5),
+            "full": ObservationMask.all_observed(graph)}[mask_kind]
+    for k, stats in enumerate(STAT_SETS):
+        for sign in (1.0, -1.0):
+            theta = 3.0 * sign * rng.choice([-1.0, 1.0], size=stats.dim)
+            assert_same_chain(stats, theta, n, 12, mask=mask, seed=SeedSequence([n, k]))
+        theta = rng.normal(scale=0.3, size=stats.dim)
+        assert_same_chain(stats, theta, n, 30, interval=1 + k, mask=mask,
+                          seed=SeedSequence([n, k, 1]))
+
+
+@pytest.mark.parametrize("mask", [None, "partial"])
+def test_sampler_matches_reference_across_block_seams(mask):
+    # interval 512: burn-in ends at step 5120 and the records fall on
+    # 5632, ..., 16384, so one lands on the last step of each of the two
+    # 8192-draw blocks and the chain ends exactly at a block boundary.
+    assert expfam._RNG_BLOCK == 8192
+    graph, k4_mask = masked_k4_instance()
+    if mask == "partial":
+        mask = k4_mask
+    assert_same_chain(EST, np.array([0.4, -0.3, 0.5]), graph.n, 22, interval=512, mask=mask,
+                      seed=SeedSequence(9))
+
+
+def test_sampler_rows_are_pinned_at_n30():
+    # 100 rows at the default interval (4350 steps): 58 blocks of draws.
+    sample = mcmc_sample(EST, np.array([-1.5, -0.02, 0.1]), 30, 100, seed=SeedSequence(30))
+    digest = hashlib.sha256(sample.rows.astype("<f8").tobytes()).hexdigest()
+    assert digest == "9ffeeca8004e9435ee45bec7cd62d5b2dc8d2ecfa85da98892a01f60f072ec8a"
 
 
 # ---------------------------------------------------------------------------
