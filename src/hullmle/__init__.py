@@ -71,7 +71,6 @@ from .lp import (
     ObjectiveSense,
     SolverConfig,
     solve,
-    solve_dual_pair,
 )
 
 __version__ = "0.1.0"
@@ -125,7 +124,6 @@ __all__ = [
     "rescaled_step",
     "separating_direction",
     "solve",
-    "solve_dual_pair",
     "statistic_histogram",
     "statistics",
     "transform_invariance_check",

@@ -1,10 +1,11 @@
 """Command line front end for hull queries, scaling curves and estimation.
 
-Every command writes one structured document to standard output and
-diagnostics to standard error.  Documents are JSON-shaped with two
-extensions: floats carry 17 significant digits so they re-parse to the
-exact in-memory value, and infinities render as the bare token ``inf``.
-``parse_document`` reads the format back.
+Each command returns its result and exit code to ``main``, which writes
+every document: one per run, the result under the run's manifest, to
+standard output, with diagnostics on standard error.  Documents are
+JSON-shaped with two extensions: floats carry 17 significant digits so
+they re-parse to the exact in-memory value, and infinities render as
+the bare token ``inf``.  ``parse_document`` reads the format back.
 
 Exit codes: hull queries map their verdict to 0 (Interior), 1
 (Exterior), 2 (Boundary), 3 (Degenerate); other commands exit 0 on
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -103,36 +105,12 @@ def render_document(doc: dict) -> str:
     return "".join(pieces)
 
 
+_STRING_OR_INF = re.compile(r'("(?:[^"\\]|\\.)*")|inf')
+
+
 def parse_document(text: str):
     """Parse a rendered document, accepting the bare ``inf`` token."""
-    out = []
-    i = 0
-    n = len(text)
-    in_string = False
-    while i < n:
-        c = text[i]
-        if in_string:
-            out.append(c)
-            if c == "\\" and i + 1 < n:
-                out.append(text[i + 1])
-                i += 2
-                continue
-            if c == '"':
-                in_string = False
-            i += 1
-            continue
-        if c == '"':
-            in_string = True
-            out.append(c)
-            i += 1
-            continue
-        if text.startswith("inf", i):
-            out.append("Infinity")
-            i += 3
-            continue
-        out.append(c)
-        i += 1
-    return json.loads("".join(out))
+    return json.loads(_STRING_OR_INF.sub(lambda m: m.group(1) or "Infinity", text))
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +234,6 @@ def _usage_checked(build, **kwargs):
         raise CliError(EXIT_USAGE, str(exc))
 
 
-def _solver_config(args) -> SolverConfig:
-    return _usage_checked(
-        SolverConfig,
-        feas_tol=args.feas_tol,
-        pivot_tol=args.pivot_tol,
-        boundary_tol=args.boundary_tol,
-    )
-
-
 def _keep_fraction(f: float) -> float:
     if not 0.0 < f <= 1.0:
         raise CliError(EXIT_USAGE, f"keep fraction must be in (0, 1], got {f}")
@@ -291,36 +260,21 @@ def _target_and_tests(args):
 
 
 def _floats(text: str, what: str) -> list[float]:
-    """Comma list of floats; empty tokens are skipped."""
+    """Comma list of finite floats; empty tokens are skipped."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise CliError(EXIT_USAGE, f"bad {what}: {text!r}")
-
-
-def _manifest(command: str, args, seed, started: float) -> dict:
-    skip = {"func", "command"}
-    parameters = {
-        key: vars(args)[key] for key in sorted(vars(args)) if key not in skip
-    }
-    return {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
-        "duration": time.perf_counter() - started,
-        "version": __version__,
-    }
-
-
-def _emit(doc: dict) -> None:
-    sys.stdout.write(render_document(doc) + "\n")
+        pass
+    raise CliError(EXIT_USAGE, f"bad {what}: {text!r}")
 
 
 def _verdict_result(verdict) -> dict:
     result = {
         "status": verdict.status.value,
         "gamma": verdict.gamma,
-        "boundaryPoint": None if verdict.boundary_point is None else verdict.boundary_point,
+        "boundaryPoint": verdict.boundary_point,
         "hyperplane": None,
     }
     if verdict.hyperplane is not None:
@@ -330,11 +284,9 @@ def _verdict_result(verdict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each maps (args, solver config) to (result, exit code)
 
-def cmd_hull_test(args) -> int:
-    started = time.perf_counter()
-    config = _solver_config(args)
+def cmd_hull_test(args, config: SolverConfig) -> tuple[dict, int]:
     target = _target_from_file(args.target, args.centroid)
     point = read_point(args.point)
     if point.size != target.dim:
@@ -343,49 +295,29 @@ def cmd_hull_test(args) -> int:
             f"point has {point.size} coordinates, target points have {target.dim}",
         )
     verdict = query(target, point, config=config)
-    doc = {
-        "manifest": _manifest("hull-test", args, None, started),
-        "result": _verdict_result(verdict),
-    }
-    _emit(doc)
-    return _STATUS_EXIT[verdict.status]
+    return _verdict_result(verdict), _STATUS_EXIT[verdict.status]
 
 
-def cmd_min_scale(args) -> int:
-    started = time.perf_counter()
-    config = _solver_config(args)
+def cmd_min_scale(args, config: SolverConfig) -> tuple[dict, int]:
     target, tests = _target_and_tests(args)
     report = min_scale(target, tests, config=config)
-    doc = {
-        "manifest": _manifest("min-scale", args, None, started),
-        "result": {
-            "minScale": report.min_scale,
-            "argmin": report.argmin,
-            "perPointScales": list(report.per_point_scales),
-            "anyDegenerate": report.any_degenerate,
-            "targetPointsUsed": target.n_points,
-        },
+    result = {
+        "minScale": report.min_scale,
+        "argmin": report.argmin,
+        "perPointScales": list(report.per_point_scales),
+        "anyDegenerate": report.any_degenerate,
+        "targetPointsUsed": target.n_points,
     }
-    _emit(doc)
-    return _STATUS_EXIT[report.argmin_verdict.status]
+    return result, _STATUS_EXIT[report.argmin_verdict.status]
 
 
-def cmd_prune_curve(args) -> int:
-    started = time.perf_counter()
-    config = _solver_config(args)
+def cmd_prune_curve(args, config: SolverConfig) -> tuple[dict, int]:
     fractions = [_keep_fraction(f) for f in _floats(args.fractions, "fraction list")]
     if not fractions:
         raise CliError(EXIT_USAGE, "no fractions given")
     target, tests = _target_and_tests(args)
     curve = prune_curve(target, tests, fractions, config=config)
-    doc = {
-        "manifest": _manifest("prune-curve", args, None, started),
-        "result": {
-            "curve": [{"fraction": f, "minScale": s} for f, s in curve],
-        },
-    }
-    _emit(doc)
-    return 0
+    return {"curve": [{"fraction": f, "minScale": s} for f, s in curve]}, 0
 
 
 def _stat_def(spec: str) -> StatDef:
@@ -410,8 +342,7 @@ def _model_inputs(args, theta_text: str | None, theta_flag: str):
     return stats, graph, mask, theta
 
 
-def cmd_estimate(args) -> int:
-    started = time.perf_counter()
+def cmd_estimate(args, config: SolverConfig) -> tuple[dict, int]:
     cfg = _usage_checked(
         EstimatorConfig,
         r_target=args.r_target,
@@ -421,7 +352,7 @@ def cmd_estimate(args) -> int:
         max_outer_iterations=args.max_iterations,
         mcmc_interval=args.interval,
         seed=args.seed,
-        solver=_solver_config(args),
+        solver=config,
     )
     stats, graph, mask, theta0 = _model_inputs(args, args.theta0, "--theta0")
     try:
@@ -430,30 +361,26 @@ def cmd_estimate(args) -> int:
         raise CliError(EXIT_DATA, str(exc))
     except OptimizationError as exc:
         raise CliError(EXIT_INTERNAL, f"step optimization failed: {exc}")
-    doc = {
-        "manifest": _manifest("estimate", args, args.seed, started),
-        "result": {
-            "trace": [
-                {
-                    "iteration": k + 1,
-                    "theta": record.theta,
-                    "multiplier": record.multiplier,
-                }
-                for k, record in enumerate(trace.iterations)
-            ],
-            "finalTheta": trace.final_theta,
-            "converged": trace.converged,
-        },
+    result = {
+        "trace": [
+            {
+                "iteration": k + 1,
+                "theta": record.theta,
+                "multiplier": record.multiplier,
+            }
+            for k, record in enumerate(trace.iterations)
+        ],
+        "finalTheta": trace.final_theta,
+        "converged": trace.converged,
     }
-    _emit(doc)
-    return 0
+    return result, 0
 
 
-def cmd_demo_unbounded(args) -> int:
-    started = time.perf_counter()
-    config = _solver_config(args)
+def cmd_demo_unbounded(args, config: SolverConfig) -> tuple[dict, int]:
     stats, graph, mask, theta = _model_inputs(args, args.theta, "--theta")
     alphas = _floats(args.alphas, "--alphas")
+    if not alphas:
+        raise CliError(EXIT_USAGE, "no alphas given")
 
     sample_y = mcmc_sample(
         stats, theta, graph.n, args.r_target,
@@ -484,20 +411,14 @@ def cmd_demo_unbounded(args) -> int:
     values = demonstrate_unbounded(
         target.points, sample_z.rows - target.centroid, direction, alphas
     )
-    doc = {
-        "manifest": _manifest("demo-unbounded", args, args.seed, started),
-        "result": {
-            "minScale": report.min_scale,
-            "direction": direction,
-            "alphas": alphas,
-            "logRatioEstimates": values,
-            "strictlyIncreasing": bool(
-                all(b > a for a, b in zip(values, values[1:]))
-            ),
-        },
+    result = {
+        "minScale": report.min_scale,
+        "direction": direction,
+        "alphas": alphas,
+        "logRatioEstimates": values,
+        "strictlyIncreasing": all(b > a for a, b in zip(values, values[1:])),
     }
-    _emit(doc)
-    return 0
+    return result, 0
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +541,27 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        config = _usage_checked(
+            SolverConfig,
+            feas_tol=args.feas_tol,
+            pivot_tol=args.pivot_tol,
+            boundary_tol=args.boundary_tol,
+        )
+        result, code = args.func(args, config)
+        manifest = {
+            "command": args.command,
+            "parameters": {
+                key: value for key, value in sorted(vars(args).items())
+                if key not in ("func", "command")
+            },
+            "seed": getattr(args, "seed", None),
+            "duration": time.perf_counter() - started,
+            "version": __version__,
+        }
+        sys.stdout.write(render_document({"manifest": manifest, "result": result}) + "\n")
+        return code
     except CliError as exc:
         sys.stderr.write(f"hullmle {args.command}: {exc}\n")
         return exc.code

@@ -40,6 +40,7 @@ results.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,6 @@ __all__ = [
     "LpSolution",
     "IterationLimitError",
     "solve",
-    "solve_dual_pair",
     "dual_of_membership",
 ]
 
@@ -97,7 +97,6 @@ class SolverConfig:
     feas_tol      absolute tolerance on constraint residuals
     pivot_tol     smallest pivot magnitude accepted during ratio tests
     boundary_tol  relative half-width of the boundary band in hull verdicts
-    duality_tol   relative primal-dual objective agreement requirement
     iteration_limit  pivot budget of each LP solve, so of each round of a
                      row-generation hull query; None means 50 (rows +
                      columns) of the LP being solved
@@ -106,13 +105,15 @@ class SolverConfig:
     feas_tol: float = 1e-7
     pivot_tol: float = 1e-9
     boundary_tol: float = 1e-7
-    duality_tol: float = 1e-7
     iteration_limit: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("feas_tol", "pivot_tol", "boundary_tol", "duality_tol"):
-            if not getattr(self, name) > 0.0:
+        for name in ("feas_tol", "pivot_tol", "boundary_tol"):
+            value = getattr(self, name)
+            if not value > 0.0:
                 raise ValueError(f"{name} must be positive")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.iteration_limit is not None and self.iteration_limit <= 0:
             raise ValueError("iteration_limit must be positive when given")
 
@@ -668,33 +669,3 @@ def dual_of_membership(primal: LinearProgram) -> LinearProgram:
         lower_bounds=np.zeros(r),
         upper_bounds=np.full(r, np.inf),
     )
-
-
-def solve_dual_pair(
-    primal: LinearProgram, config: SolverConfig | None = None
-) -> tuple[LpSolution, LpSolution]:
-    """Solve a membership-shaped primal and its dual independently.
-
-    Both problems go through the same simplex entry point but as separate
-    instances, so agreement of the two objective values is a genuine
-    numerical cross-check.  Raises ArithmeticError when strong duality
-    fails beyond duality_tol or the statuses are inconsistent (an
-    unbounded primal must pair with an infeasible dual).
-    """
-    cfg = config or SolverConfig()
-    primal_sol = solve(primal, cfg)
-    dual_sol = solve(dual_of_membership(primal), cfg)
-
-    if primal_sol.status is LpStatus.OPTIMAL and dual_sol.status is LpStatus.OPTIMAL:
-        gap = abs(primal_sol.objective_value - dual_sol.objective_value)
-        allowed = cfg.duality_tol * (1.0 + abs(primal_sol.objective_value))
-        if gap > allowed:
-            raise ArithmeticError(
-                f"strong duality violated: gap {gap:.3e} exceeds {allowed:.3e}"
-            )
-    elif primal_sol.status is LpStatus.UNBOUNDED:
-        if dual_sol.status is not LpStatus.INFEASIBLE:
-            raise ArithmeticError("unbounded primal paired with a feasible dual")
-    elif primal_sol.status is LpStatus.INFEASIBLE:
-        raise ArithmeticError("membership primal cannot be infeasible (zero is feasible)")
-    return primal_sol, dual_sol

@@ -79,6 +79,11 @@ def test_parse_document_keeps_inf_inside_strings():
     assert doc["note"] == "inf to the left"
     assert doc["x"] == math.inf
     assert doc["y"] == -math.inf
+    doc = parse_document(r'{"quoted": "say \"inf\" twice", "z": inf}')
+    assert doc == {"quoted": 'say "inf" twice', "z": math.inf}
+    doc = parse_document(r'{"path": "ends in \\", "w": inf, "v": [-inf, inf, -inf]}')
+    assert doc == {"path": "ends in \\", "w": math.inf,
+                   "v": [-math.inf, math.inf, -math.inf]}
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +332,13 @@ def test_prune_curve_rejects_bad_fractions(triangle_file, tmp_path, capsys):
     ("estimate", ("--r-target", "0"), "--r-target: must be an integer of at least 1"),
     ("estimate", ("--interval", "0"), "--interval: must be an integer of at least 1"),
     ("min-scale", ("--feas-tol", "-1"), "feas_tol must be positive"),
+    ("min-scale", ("--feas-tol", "inf"), "feas_tol must be finite"),
     ("demo-unbounded", ("--r-target", "0"), "--r-target: must be an integer of at least 1"),
     ("estimate", ("--seed", "-1"), "--seed: must be an integer of at least 0, got '-1'"),
     ("estimate", ("--seed", "2.5"), "--seed: must be an integer of at least 0, got '2.5'"),
     ("demo-unbounded", ("--seed", "-1"), "--seed: must be an integer of at least 0"),
 ], ids=["fractions", "no-fractions", "safety-factor", "estimate-r-target",
-        "interval", "feas-tol", "demo-r-target", "estimate-negative-seed",
+        "interval", "feas-tol", "feas-tol-inf", "demo-r-target", "estimate-negative-seed",
         "estimate-fractional-seed", "demo-negative-seed"])
 def test_out_of_range_flag_values_are_usage_errors(
         triangle_file, tmp_path, k4_files, capsys, command, argv, message):
@@ -452,7 +458,13 @@ def test_estimate_usage_errors(k4_files, capsys):
     (("estimate", "--theta0", "1.0"), "--theta0 needs 2 components"),
     (("demo-unbounded", "--theta", "0,0,0"), "--theta needs 2 components"),
     (("demo-unbounded", "--alphas", "1,two"), "bad --alphas: '1,two'"),
-], ids=["bad-theta0", "theta0-count", "theta-count", "bad-alphas"])
+    (("estimate", "--theta0", "nan,0"), "bad --theta0: 'nan,0'"),
+    (("demo-unbounded", "--theta", "nan,0"), "bad --theta: 'nan,0'"),
+    (("demo-unbounded", "--alphas", "nan"), "bad --alphas: 'nan'"),
+    (("demo-unbounded", "--alphas", "1,inf"), "bad --alphas: '1,inf'"),
+    (("demo-unbounded", "--alphas", ","), "no alphas given"),
+], ids=["bad-theta0", "theta0-count", "theta-count", "bad-alphas", "nan-theta0",
+        "nan-theta", "nan-alphas", "inf-alphas", "no-alphas"])
 def test_float_list_usage_errors(k4_files, capsys, argv, message):
     graph, mask = k4_files
     code, _, err = run(capsys, argv[0], graph, mask, *argv[1:])
@@ -538,3 +550,41 @@ def test_demo_unbounded_contained_case_is_an_error(tmp_path, capsys):
                        "--r-target", "300", "--s-test", "50", "--seed", "1")
     assert code == 65
     assert "contained" in err
+
+
+# ---------------------------------------------------------------------------
+# document envelope
+
+K4_SAMPLER = ("--r-target", "75", "--s-test", "25")
+
+
+@pytest.mark.parametrize("command, seed", [
+    ("hull-test", None),
+    ("min-scale", None),
+    ("prune-curve", None),
+    ("estimate", 3),
+    ("demo-unbounded", 2),
+])
+def test_every_command_writes_the_same_envelope(triangle_file, tmp_path, k4_files,
+                                                capsys, command, seed):
+    if command == "hull-test":
+        argv = (triangle_file, point_file(tmp_path, "p.csv", [3.0, 2.0]))
+    elif command == "min-scale":
+        argv = (triangle_file, write_tests(tmp_path))
+    elif command == "prune-curve":
+        argv = (*cloud_files(tmp_path), "--fractions", "1,0.7")
+    elif command == "estimate":
+        argv = (*k4_files, *K4_SAMPLER, "--safety-factor", "0.7", "--seed", "3",
+                "--max-iterations", "10")
+    else:
+        argv = (*k4_files, *K4_SAMPLER, "--seed", "2")
+    code, out, _ = run(capsys, command, *argv)
+    assert code in (0, 1)
+    doc = parse_document(out)
+    assert list(doc) == ["manifest", "result"]
+    manifest = doc["manifest"]
+    assert list(manifest) == ["command", "parameters", "seed", "duration", "version"]
+    assert manifest["command"] == command
+    assert manifest["seed"] == seed
+    assert "func" not in manifest["parameters"]
+    assert "command" not in manifest["parameters"]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from hullmle.lp import (
     SolverConfig,
     dual_of_membership,
     solve,
-    solve_dual_pair,
 )
 
 
@@ -158,12 +158,12 @@ def test_primal_dual_agreement_on_membership_instances(seed):
     points = rng.standard_normal((r, d))
     p = rng.standard_normal(d)
     problem = _membership_problem(points, p)
-    config = SolverConfig()
-    primal, dual = solve_dual_pair(problem, config)
+    primal = solve(problem)
+    dual = solve(dual_of_membership(problem))
     if primal.status is LpStatus.OPTIMAL:
         assert dual.status is LpStatus.OPTIMAL
         gap = abs(primal.objective_value - dual.objective_value)
-        assert gap <= config.duality_tol * (1.0 + abs(primal.objective_value))
+        assert gap <= 1e-7 * (1.0 + abs(primal.objective_value))
     else:
         # Unbounded primal pairs with infeasible dual.
         assert primal.status is LpStatus.UNBOUNDED
@@ -205,6 +205,18 @@ def test_iteration_limit_raises():
     problem = _membership_problem(points, p)
     with pytest.raises(IterationLimitError):
         solve(problem, SolverConfig(iteration_limit=1))
+
+
+@pytest.mark.parametrize("name", ["feas_tol", "pivot_tol", "boundary_tol"])
+@pytest.mark.parametrize("value, message", [
+    (math.inf, "must be finite"),
+    (math.nan, "must be positive"),
+    (0.0, "must be positive"),
+])
+def test_solver_config_rejects_tolerances_that_are_not_finite_and_positive(
+        name, value, message):
+    with pytest.raises(ValueError, match=f"{name} {message}"):
+        SolverConfig(**{name: value})
 
 
 def test_solution_feasibility_on_random_instances():
