@@ -58,6 +58,9 @@ __all__ = [
 ENUM_LIMIT = 25
 _CHUNK = 1 << 16
 _RNG_BLOCK = 1 << 13
+# The state-code kernel of mcmc_sample runs spaces of at most this many
+# free dyads, so a memoized table stays under 1.3 MB.
+_CODE_TABLE_LIMIT = 12
 
 
 class StatTerm(enum.Enum):
@@ -88,6 +91,10 @@ class StatDef:
         return cls(terms=tuple(StatTerm(name) for name in names))
 
 
+# The chain's own term order: every Metropolis gain reads all three.
+_CHAIN_TERMS = StatDef((StatTerm.EDGES, StatTerm.TWO_STARS, StatTerm.TRIANGLES))
+
+
 def dyad_pairs(n: int) -> np.ndarray:
     """Vertex pairs (i, j) with i < j in the canonical dyad order."""
     return np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64).reshape(
@@ -97,6 +104,10 @@ def dyad_pairs(n: int) -> np.ndarray:
 
 def _dyad_count(n: int) -> int:
     return n * (n - 1) // 2
+
+
+def _vertex_count(n) -> int:
+    return numerics.check_count("n", n, 2)
 
 
 def _flat_bools(values) -> np.ndarray:
@@ -119,8 +130,7 @@ class Graph:
     edges: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("graphs need at least two vertices")
+        object.__setattr__(self, "n", _vertex_count(self.n))
         bits = _flat_bools(self.edges)
         if bits.size != _dyad_count(self.n):
             raise ValueError(
@@ -243,12 +253,27 @@ def statistics(graph: Graph, stats: StatDef) -> np.ndarray:
 def _space(n: int, mask: ObservationMask | None) -> tuple[np.ndarray, np.ndarray]:
     """Free dyad indices and base state of the (possibly constrained)
     space: every graph in it equals base off the free dyads."""
-    m = _dyad_count(n)
+    m = _dyad_count(_vertex_count(n))
     if mask is None:
         return np.arange(m), np.zeros(m, dtype=bool)
     if mask.observed_dyads.size != m:
         raise ValueError(f"mask covers {mask.observed_dyads.size} dyads, graph has {m}")
     return np.flatnonzero(~mask.observed_dyads), mask.observed_values.copy()
+
+
+def _space_key(n, mask: ObservationMask | None) -> tuple:
+    """(n, mask bytes): the key the per-space memos are held under, with
+    n checked before any memo is consulted."""
+    if mask is None:
+        return _vertex_count(n), None
+    return _vertex_count(n), (mask.observed_dyads.tobytes(), mask.observed_values.tobytes())
+
+
+def _mask_of(mask_bytes) -> ObservationMask | None:
+    if mask_bytes is None:
+        return None
+    dyads, values = (np.frombuffer(b, dtype=bool) for b in mask_bytes)
+    return ObservationMask(observed_dyads=dyads, observed_values=values)
 
 
 def _chunk_statistics(dyads, stats, incidence, triples) -> np.ndarray:
@@ -316,21 +341,13 @@ def statistic_histogram(
     arrays stand for the whole space.  The last few spaces asked for are
     memoized on (stats, n, mask values); the arrays are read-only.
     """
-    if mask is None:
-        return _histogram(stats, n, None)
-    return _histogram(
-        stats, n, (mask.observed_dyads.tobytes(), mask.observed_values.tobytes())
-    )
+    return _histogram(stats, *_space_key(n, mask))
 
 
 @functools.lru_cache(maxsize=8)
 def _histogram(stats: StatDef, n: int, mask_bytes) -> tuple[np.ndarray, np.ndarray]:
-    mask = None
-    if mask_bytes is not None:
-        dyads, values = (np.frombuffer(b, dtype=bool) for b in mask_bytes)
-        mask = ObservationMask(observed_dyads=dyads, observed_values=values)
     counts: dict[tuple, int] = {}
-    for g in enumerate_statistics(stats, n, mask):
+    for g in enumerate_statistics(stats, n, _mask_of(mask_bytes)):
         # Rows are small nonnegative integers, so within one chunk a
         # mixed-radix index over the chunk's own span is a unique key.
         low = g.min(axis=0)
@@ -397,6 +414,151 @@ def exact_loglik(
     return constrained - full
 
 
+def _toggle_segments(rng, n_free: int, interval: int, count: int):
+    """The chain's toggle draws, cut at its recording steps.
+
+    Draws come in blocks of up to 8192 steps: each block takes its dyad
+    picks, then its acceptance uniforms, from the generator.  Picks in
+    [n_free, 2*n_free) are lazy hold steps: they use up their random
+    numbers and change nothing, so they are dropped here.  Yields
+    (toggles, logus, recorded) in step order: the free-dyad picks and
+    log-uniforms of the toggle steps up to the next recording step, and
+    whether a record follows them.
+    """
+    burn_in = 10 * interval
+    total_steps = burn_in + count * interval
+    next_record = burn_in + interval
+    done = 0
+    while done < total_steps:
+        size = min(_RNG_BLOCK, total_steps - done)
+        picks = rng.integers(0, 2 * n_free, size=size)
+        with np.errstate(divide="ignore"):
+            logus = np.log(rng.random(size=size))
+        moves = np.flatnonzero(picks < n_free)
+        toggles = picks[moves].tolist()
+        logus = logus[moves].tolist()
+        # Block positions of the recording steps; a record follows every
+        # toggle drawn at or before its position.
+        marks = range(next_record - done - 1, size, interval)
+        cuts = np.searchsorted(moves, marks, side="right").tolist()
+        cuts.append(len(toggles))
+        lo = 0
+        for k, cut in enumerate(cuts):
+            yield toggles[lo:cut], logus[lo:cut], k < len(marks)
+            lo = cut
+        next_record += len(marks) * interval
+        done += size
+
+
+def _bitmask_chain(segments, n, free, state, gains, keep_graphs):
+    """Run the chain on per-vertex adjacency bitmasks and degrees.
+
+    Returns the (edges, 2-stars, triangles) counts at each record and,
+    with keep_graphs, the free-dyad values there.
+    """
+    # Per free dyad: its endpoints and whether the edge is on.  Popcount
+    # of an AND of two bitmasks gives common neighbors, the triangle
+    # delta of a toggle.
+    pairs = dyad_pairs(n)
+    ui = pairs[free, 0].tolist()
+    uj = pairs[free, 1].tolist()
+    on = state[free].tolist()
+    adj = [0] * n
+    deg = [0] * n
+    edge_list = pairs[state].tolist()
+    for i, j in edge_list:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+        deg[i] += 1
+        deg[j] += 1
+    # Counts and deltas stay Python ints: they are exact, and an int
+    # operand converts to the same float its value has.
+    n_edges = len(edge_list)
+    n_stars = sum(v * (v - 1) // 2 for v in deg)
+    n_tris = sum((adj[i] & adj[j]).bit_count() for i, j in edge_list) // 3
+    t_edge, t_star, t_tri = gains
+    tallies = []
+    snapshots = []
+    for toggles, logus, recorded in segments:
+        for t, logu in zip(toggles, logus):
+            i = ui[t]
+            j = uj[t]
+            common = (adj[i] & adj[j]).bit_count()
+            if on[t]:
+                d_edges = -1
+                d_stars = 2 - deg[i] - deg[j]
+                d_tris = -common
+            else:
+                d_edges = 1
+                d_stars = deg[i] + deg[j]
+                d_tris = common
+            if logu < t_edge * d_edges + t_star * d_stars + t_tri * d_tris:
+                on[t] = not on[t]
+                adj[i] ^= 1 << j
+                adj[j] ^= 1 << i
+                deg[i] += d_edges
+                deg[j] += d_edges
+                n_edges += d_edges
+                n_stars += d_stars
+                n_tris += d_tris
+        if recorded:
+            tallies.append((n_edges, n_stars, n_tris))
+            if keep_graphs:
+                snapshots.append(on.copy())
+    return tallies, snapshots
+
+
+@functools.lru_cache(maxsize=8)
+def _code_table(n: int, mask_bytes):
+    """Every state of the space in code order: its (edges, 2-stars,
+    triangles) row, and for each term the change a toggle of each free
+    dyad makes, a (2**k, k) array.  Read-only arrays."""
+    rows = np.concatenate(list(enumerate_statistics(_CHAIN_TERMS, n, _mask_of(mask_bytes))))
+    codes = np.arange(rows.shape[0])
+    k = rows.shape[0].bit_length() - 1
+    flipped = codes[:, None] ^ (1 << np.arange(k))
+    deltas = tuple(np.ascontiguousarray(rows[flipped, j] - rows[:, j, None]) for j in range(3))
+    for arr in (rows, *deltas):
+        arr.flags.writeable = False
+    return rows, deltas
+
+
+def _table_chain(segments, code: int, thresholds):
+    """Run the chain on the state code: thresholds[c][t] is the gain of
+    toggling free dyad t in state c.  Returns the codes at the records."""
+    bit = [1 << t for t in range(len(thresholds[0]))]
+    row = thresholds[code]
+    codes = []
+    for toggles, logus, recorded in segments:
+        for t, logu in zip(toggles, logus):
+            if logu < row[t]:
+                code ^= bit[t]
+                row = thresholds[code]
+        if recorded:
+            codes.append(code)
+    return codes
+
+
+def _runs_on_codes(n: int, n_free: int, steps: int) -> bool:
+    """Whether a chain of steps steps runs on the state code.
+
+    Its costs, in twelfths of the time a step saves over the bitmask
+    kernel: 3 per threshold-table entry (n_free * 2**n_free of them, built
+    every call) and 1 per element the space's enumeration touches
+    (2**n_free graphs of n(n-1)/2 dyads and 3 C(n,3) triple entries).
+    The memo usually holds the enumeration, but it is charged on every
+    call, so a cold memo costs no more than the steps save.  (On a
+    2-core x86 machine a step saved about 145 ns, an entry cost 1/6 to
+    1/4 of that and an element 1/38 to 1/14; the weights round those
+    up.  Enumerating n = 30 with 10 free dyads took 0.24 s and 110 MiB,
+    against 1.5 ms saved by a 75-row chain.)
+    """
+    if n_free > _CODE_TABLE_LIMIT:
+        return False
+    elements = (_dyad_count(n) + 3 * math.comb(n, 3)) << n_free
+    return 3 * (n_free << n_free) + elements <= 12 * steps
+
+
 def mcmc_sample(
     stats: StatDef,
     theta,
@@ -410,9 +572,8 @@ def mcmc_sample(
     """Metropolis sample of statistic vectors at parameter theta.
 
     Single-dyad toggles, uniform over free dyads, accepted with
-    probability min(1, exp(theta' dg)) where dg is computed
-    incrementally (edge change, degree sums for 2-stars, common
-    neighbors for triangles).  Each step holds in place with
+    probability min(1, exp(theta' dg)) where dg is the change in
+    (edges, 2-stars, triangles).  Each step holds in place with
     probability 1/2: a pure toggle chain flips the edge-count parity
     deterministically wherever acceptance is certain (theta = 0 being
     the worst case), so even recording intervals would only ever see
@@ -425,10 +586,25 @@ def mcmc_sample(
     Draws come in blocks of up to 8192 steps: each block takes its dyad
     picks, then its acceptance uniforms, from the generator.  A hold draw
     uses up its two random numbers but no loop iteration; only toggle
-    draws run in Python, split at the block's recording steps.  Samples
-    and graphs are bit-identical to a chain that runs one iteration per
-    step, hold steps included.  count and interval must be integers of
-    at least 1 (numpy integers pass, bools do not).
+    draws run in Python, split at the block's recording steps.
+
+    Two kernels run the toggles; the input alone picks one.  The
+    state-code kernel runs the chain on the code c of the state (bit t
+    is free dyad t): a memo per space holds dg for every state and
+    toggle, from the rows of enumerate_statistics; each call turns it
+    into a table of theta' dg, and a toggle is one comparison and one
+    XOR.  It runs when the space is small next to the chain: at most 12
+    free dyads k, and the table's k * 2**k entries plus the enumeration
+    behind it (charged even when the memo holds it) cost less than the
+    steps save.  The bitmask kernel keeps per-vertex adjacency bitmasks
+    and degrees and computes dg incrementally (degree sums for 2-stars,
+    common neighbors for triangles).  Both evaluate theta' dg with the
+    same operations in the same order, so samples and graphs are
+    bit-identical whichever kernel runs, and to a chain that runs one
+    iteration per step, hold steps included.
+
+    count and interval must be integers of at least 1 and n one of at
+    least 2 (numpy integers pass, bools do not).
     """
     th = numerics.as_vector(theta, "theta")
     if th.size != stats.dim:
@@ -449,94 +625,38 @@ def mcmc_sample(
         interval = 10 * n_free
 
     rng = np.random.default_rng(seed)
-    state = base.copy()
-    state[free] = rng.random(n_free) < 0.5
-
-    # Per free dyad: its endpoints and whether the edge is on.  Adjacency
-    # is kept as per-vertex bitmasks; popcount of an AND gives common
-    # neighbors, the triangle delta of a toggle.
-    pairs = dyad_pairs(n)
-    ui = pairs[free, 0].tolist()
-    uj = pairs[free, 1].tolist()
-    on = state[free].tolist()
-    adj = [0] * n
-    deg = [0] * n
-    edge_list = pairs[state].tolist()
-    for i, j in edge_list:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-        deg[i] += 1
-        deg[j] += 1
-    # Counts and deltas stay Python ints: they are exact, and an int
-    # operand converts to the same float its value has.
-    n_edges = len(edge_list)
-    n_stars = sum(v * (v - 1) // 2 for v in deg)
-    n_tris = sum((adj[i] & adj[j]).bit_count() for i, j in edge_list) // 3
+    on = rng.random(n_free) < 0.5
     coef = dict(zip(stats.terms, th.tolist()))
-    t_edge = coef.get(StatTerm.EDGES, 0.0)
-    t_star = coef.get(StatTerm.TWO_STARS, 0.0)
-    t_tri = coef.get(StatTerm.TRIANGLES, 0.0)
+    t_edge, t_star, t_tri = (coef.get(term, 0.0) for term in _CHAIN_TERMS.terms)
+    order = [_CHAIN_TERMS.terms.index(term) for term in stats.terms]
+    segments = _toggle_segments(rng, n_free, interval, count)
 
-    burn_in = 10 * interval
-    total_steps = burn_in + count * interval
-    tallies = []
-    graphs: list[Graph] = []
-    next_record = burn_in + interval
+    if _runs_on_codes(n, n_free, (10 + count) * interval):
+        table, (d_edges, d_stars, d_tris) = _code_table(*_space_key(n, mask))
+        # The gain of the bitmask kernel, term for term in the same order.
+        with np.errstate(over="ignore", invalid="ignore"):
+            thresholds = (t_edge * d_edges + t_star * d_stars + t_tri * d_tris).tolist()
+        start = sum(1 << t for t, bit in enumerate(on.tolist()) if bit)
+        codes = np.array(_table_chain(segments, start, thresholds))
+        rows = table[np.ix_(codes, order)]
+        snapshots = ((codes[:, None] >> np.arange(n_free)) & 1).astype(bool)
+    else:
+        state = base.copy()
+        state[free] = on
+        tallies, snapshots = _bitmask_chain(
+            segments, n, free, state, (t_edge, t_star, t_tri), keep_graphs
+        )
+        rows = np.array([[tally[c] for c in order] for tally in tallies], dtype=np.float64)
 
-    done = 0
-    while done < total_steps:
-        size = min(_RNG_BLOCK, total_steps - done)
-        # Draws in [n_free, 2*n_free) are lazy hold steps: they use up
-        # their random numbers and change nothing, so only the toggle
-        # draws reach the loop below.
-        picks = rng.integers(0, 2 * n_free, size=size)
-        with np.errstate(divide="ignore"):
-            logus = np.log(rng.random(size=size))
-        moves = np.flatnonzero(picks < n_free)
-        toggles = picks[moves].tolist()
-        logus = logus[moves].tolist()
-        # Block positions of the recording steps; a record follows every
-        # toggle drawn at or before its position.
-        marks = range(next_record - done - 1, size, interval)
-        cuts = np.searchsorted(moves, marks, side="right").tolist()
-        cuts.append(len(toggles))
-        lo = 0
-        for k, cut in enumerate(cuts):
-            for t, logu in zip(toggles[lo:cut], logus[lo:cut]):
-                i = ui[t]
-                j = uj[t]
-                common = (adj[i] & adj[j]).bit_count()
-                if on[t]:
-                    d_edges = -1
-                    d_stars = 2 - deg[i] - deg[j]
-                    d_tris = -common
-                else:
-                    d_edges = 1
-                    d_stars = deg[i] + deg[j]
-                    d_tris = common
-                if logu < t_edge * d_edges + t_star * d_stars + t_tri * d_tris:
-                    on[t] = not on[t]
-                    adj[i] ^= 1 << j
-                    adj[j] ^= 1 << i
-                    deg[i] += d_edges
-                    deg[j] += d_edges
-                    n_edges += d_edges
-                    n_stars += d_stars
-                    n_tris += d_tris
-            lo = cut
-            if k < len(marks):
-                tallies.append((n_edges, n_stars, n_tris))
-                if keep_graphs:
-                    edges = base.copy()
-                    edges[free] = on
-                    graphs.append(Graph(n=n, edges=edges))
-        next_record += len(marks) * interval
-        done += size
-
-    order = [(StatTerm.EDGES, StatTerm.TWO_STARS, StatTerm.TRIANGLES).index(term)
-             for term in stats.terms]
-    rows = np.array([[tally[c] for c in order] for tally in tallies], dtype=np.float64)
-    return StatMatrix(rows=rows, graphs=tuple(graphs) if keep_graphs else None)
+    graphs = None
+    if keep_graphs:
+        graphs = []
+        for bits in snapshots:
+            edges = base.copy()
+            edges[free] = bits
+            graphs.append(Graph(n=n, edges=edges))
+        graphs = tuple(graphs)
+    return StatMatrix(rows=rows, graphs=graphs)
 
 
 def _log_mean_exp(x: np.ndarray) -> float:

@@ -155,6 +155,31 @@ def test_moments_n_cap_enforced():
         exact_log_kappa(EDGES, np.zeros(1), 26)
 
 
+SPACE_USERS = {
+    "Graph": lambda n: Graph(n=n, edges=np.zeros(1, dtype=bool)),
+    "enumerate_statistics": lambda n: list(enumerate_statistics(ET, n)),
+    "statistic_histogram": lambda n: statistic_histogram(ET, n),
+    "exact_moments": lambda n: exact_moments(ET, [0.0, 0.0], n),
+    "mcmc_sample": lambda n: mcmc_sample(ET, [0.0, 0.0], n, 3),
+}
+
+
+@pytest.mark.parametrize("n", [-2, -1, 0, 1, 2.5, 2.0, True, "3", None])
+@pytest.mark.parametrize("user", list(SPACE_USERS))
+def test_vertex_count_is_an_integer_of_at_least_two(user, n):
+    with pytest.raises(ValueError, match="n must be an integer of at least 2"):
+        SPACE_USERS[user](n)
+
+
+def test_vertex_count_is_checked_before_the_memo():
+    # 2.0 hashes and compares equal to the memoized 2.
+    statistic_histogram(ET, 2)
+    with pytest.raises(ValueError, match="n must be an integer of at least 2"):
+        statistic_histogram(ET, 2.0)
+    rows, _ = statistic_histogram(ET, np.int64(2))
+    assert rows.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+
+
 def graph_of_code(n, mask, code):
     """The graph enumerated at code: bit k of code fills the k-th free dyad."""
     m = n * (n - 1) // 2
@@ -526,6 +551,70 @@ def test_sampler_matches_reference_across_block_seams(mask):
         mask = k4_mask
     assert_same_chain(EST, np.array([0.4, -0.3, 0.5]), graph.n, 22, interval=512, mask=mask,
                       seed=SeedSequence(9))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Names of the sampler kernels run, in call order."""
+    calls = []
+    for name in ("_table_chain", "_bitmask_chain"):
+        def spy(*args, _name=name, _original=getattr(expfam, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(expfam, name, spy)
+    return calls
+
+
+def free_dyads_at_cutover(n, steps):
+    """The most free dyads whose chain of steps steps runs on state codes."""
+    k = max(k for k in range(n * (n - 1) // 2 + 1) if expfam._runs_on_codes(n, k, steps))
+    assert not expfam._runs_on_codes(n, k + 1, steps)
+    return k
+
+
+@pytest.mark.parametrize("count, interval, expected_k", [(30, 20, 6), (70, 1000, 12)],
+                         ids=["by-cost", "by-limit"])
+@pytest.mark.parametrize("past", [0, 1], ids=["at-cutover", "one-past"])
+def test_both_kernels_match_reference_at_the_cutover(kernel_calls, count, interval,
+                                                     expected_k, past):
+    # n = 6 (15 dyads).  800 steps reach the cutover by cost; 80,000
+    # steps would pay for 13 free dyads, but the table stops at 12.
+    n, steps = 6, (10 + count) * interval
+    k = free_dyads_at_cutover(n, steps) + past
+    assert k == expected_k + past
+    rng = np.random.default_rng(k)
+    graph = Graph(n=n, edges=rng.random(15) < 0.5)
+    observed = np.ones(15, dtype=bool)
+    observed[rng.permutation(15)[:k]] = False
+    mask = ObservationMask.from_graph(graph, observed)
+    assert_same_chain(EST, np.array([-0.4, 0.15, 0.3]), n, count, interval=interval, mask=mask,
+                      seed=SeedSequence([k, count]))
+    assert kernel_calls == ["_bitmask_chain" if past else "_table_chain"]
+
+
+def test_code_table_arrays_are_read_only():
+    n, mask = masked_n5()
+    rows, deltas = expfam._code_table(*expfam._space_key(n, mask))
+    assert rows.shape == (1 << mask.n_free, 3)
+    assert [d.shape for d in deltas] == [(1 << mask.n_free, mask.n_free)] * 3
+    for arr in (rows, *deltas):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 99.0
+
+
+@pytest.mark.parametrize("mask, count, digest", [
+    (None, 75, "d5370abfad324f3a8aa59879902be9e9ac59b848cf544e46a2d7dbb993aefae0"),
+    ("masked", 25, "1bb3e6dca44594acd4af0ea42e99cd26798ae14da997cc25a60ddb1df8583c1d"),
+])
+def test_sampler_rows_are_pinned_on_k4(kernel_calls, mask, count, digest):
+    # The estimate-k4 samples (default interval) on the state-code
+    # kernel; the digests are of rows drawn with the bitmask kernel.
+    graph, k4_mask = masked_k4_instance()
+    sample = mcmc_sample(ET, np.array([-0.3, 0.8]), graph.n, count,
+                         mask=k4_mask if mask else None, seed=SeedSequence(count))
+    assert kernel_calls == ["_table_chain"]
+    assert hashlib.sha256(sample.rows.astype("<f8").tobytes()).hexdigest() == digest
 
 
 def test_sampler_rows_are_pinned_at_n30():
