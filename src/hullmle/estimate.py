@@ -26,9 +26,11 @@ from .expfam import (
     ObservationMask,
     StatDef,
     exact_moments,
+    loglik_ratio_derivatives,
+    # Unused here since the step takes both derivatives at once, but
+    # perfbench/tracer.py still wraps this name in this module.
     loglik_ratio_grad,
     loglik_ratio_hat,
-    loglik_ratio_hess,
     mcmc_sample,
     statistic_histogram,
     statistics,
@@ -128,16 +130,21 @@ MAX_ITERATIONS = 200
 MOVE_RESOLUTION = 4.0 * np.finfo(np.float64).eps
 
 
-def _ascend(parts, x0, gradient_tol, max_iterations, bound=np.inf):
+def _ascend(evaluate, x0, gradient_tol, max_iterations, bound=np.inf):
     """Newton ascent with a backtracking line search.
 
-    parts(x) returns the value, gradient and Hessian at x.  The Newton
-    direction falls back to the gradient where it is not an ascent
-    direction.  A step to an iterate whose largest entry exceeds bound
-    raises NonexistentMle, whatever the gradient there.
+    evaluate(x) returns the value at x and a function of no arguments
+    that returns the gradient and Hessian there.  The ascent calls that
+    function only at the start point, at each iterate it accepts and at
+    the full-step fallback, so a rejected line-search candidate costs
+    one value.  The Newton direction falls back to the gradient where it
+    is not an ascent direction.  A step to an iterate whose largest
+    entry exceeds bound raises NonexistentMle, whatever the gradient
+    there.
     """
     x = np.array(x0, dtype=float)
-    value, gradient, hessian = parts(x)
+    value, derivatives = evaluate(x)
+    gradient, hessian = derivatives()
     for _ in range(max_iterations):
         gnorm = float(np.abs(gradient).max())
         if gnorm <= gradient_tol:
@@ -160,19 +167,20 @@ def _ascend(parts, x0, gradient_tol, max_iterations, bound=np.inf):
         floor = MOVE_RESOLUTION * max(1.0, float(np.abs(x).max()))
         while step >= 1e-14 and step * reach > floor:
             candidate = x + step * direction
-            cand = parts(candidate)
-            if cand[0] >= value + 1e-4 * step * slope:
+            candidate_value, derivatives = evaluate(candidate)
+            if candidate_value >= value + 1e-4 * step * slope:
+                gradient, hessian = derivatives()
                 break
             step *= 0.5
         else:
             candidate = x + direction
-            cand = parts(candidate)
-            if not float(np.abs(cand[1]).max()) < gnorm:
+            candidate_value, derivatives = evaluate(candidate)
+            gradient, hessian = derivatives()
+            if not float(np.abs(gradient).max()) < gnorm:
                 raise OptimizationError(
                     "likelihood line search failed", last_iterate=x, gradient_norm=gnorm
                 )
-        x = candidate
-        value, gradient, hessian = cand
+        x, value = candidate, candidate_value
         if float(np.abs(x).max()) > bound:
             raise NonexistentMle(
                 "likelihood ascent diverges; no finite maximizer exists"
@@ -191,19 +199,20 @@ def rescaled_step(theta0, g_y, g_z, scale: float, cfg: EstimatorConfig) -> np.nd
     Maximizes the sampled likelihood ratio with the centered test rows
     multiplied by safety_factor * scale, starting from no change, and
     returns the updated parameter.  Inputs must already be centered by
-    the target-sample column mean.  The ascent is exact_mle's, on the
-    sampled value, gradient and Hessian; the shrunk test rows lie inside
-    the target hull, so the surface has a maximizer.
+    the target-sample column mean.  The ascent is exact_mle's: every
+    candidate takes its value from loglik_ratio_hat, and only the points
+    the ascent moves to take a gradient and Hessian, from
+    loglik_ratio_derivatives.  The shrunk test rows lie inside the
+    target hull, so the surface has a maximizer.
     """
     theta = numerics.as_vector(theta0, "theta0")
     effective = cfg.safety_factor * scale
 
-    def parts(dt):
+    def evaluate(dt):
         return (loglik_ratio_hat(dt, g_y, g_z, effective),
-                loglik_ratio_grad(dt, g_y, g_z, effective),
-                loglik_ratio_hess(dt, g_y, g_z, effective))
+                lambda: loglik_ratio_derivatives(dt, g_y, g_z, effective))
 
-    return theta + _ascend(parts, np.zeros(theta.size), GRADIENT_TOL, MAX_ITERATIONS)
+    return theta + _ascend(evaluate, np.zeros(theta.size), GRADIENT_TOL, MAX_ITERATIONS)
 
 
 def _variance_condition(y_rows: np.ndarray, z_rows: np.ndarray) -> bool | None:
@@ -327,10 +336,12 @@ def exact_mle(
                 f"(status {verdict.status.value})"
             )
 
-    def loglik_parts(theta):
+    def evaluate(theta):
+        # exact_moments yields all three at once; the derivatives are
+        # handed over, not recomputed.
         lk_con, mean_con, cov_con = exact_moments(stats, theta, y_obs.n, mask)
         lk_full, mean_full, cov_full = exact_moments(stats, theta, y_obs.n, None)
-        return lk_con - lk_full, mean_con - mean_full, cov_con - cov_full
+        return lk_con - lk_full, lambda: (mean_con - mean_full, cov_con - cov_full)
 
-    return _ascend(loglik_parts, np.zeros(stats.dim), gradient_tol, max_iterations,
+    return _ascend(evaluate, np.zeros(stats.dim), gradient_tol, max_iterations,
                    bound=DIVERGENCE_BOUND)

@@ -49,6 +49,7 @@ __all__ = [
     "exact_loglik",
     "mcmc_sample",
     "loglik_ratio_hat",
+    "loglik_ratio_derivatives",
     "loglik_ratio_grad",
     "loglik_ratio_hess",
     "demonstrate_unbounded",
@@ -59,7 +60,7 @@ ENUM_LIMIT = 25
 _CHUNK = 1 << 16
 _RNG_BLOCK = 1 << 13
 # The state-code kernel of mcmc_sample runs spaces of at most this many
-# free dyads, so a memoized table stays under 1.3 MB.
+# free dyads, so a memoized space stays under 0.8 MB.
 _CODE_TABLE_LIMIT = 12
 
 
@@ -276,22 +277,6 @@ def _mask_of(mask_bytes) -> ObservationMask | None:
     return ObservationMask(observed_dyads=dyads, observed_values=values)
 
 
-def _chunk_statistics(dyads, stats, incidence, triples) -> np.ndarray:
-    cols = []
-    for term in stats.terms:
-        if term is StatTerm.EDGES:
-            cols.append(dyads.sum(axis=1))
-        elif term is StatTerm.TWO_STARS:
-            deg = dyads @ incidence
-            cols.append((deg * (deg - 1.0)).sum(axis=1) / 2.0)
-        else:
-            if triples.size == 0:
-                cols.append(np.zeros(dyads.shape[0]))
-            else:
-                cols.append(dyads[:, triples].prod(axis=2).sum(axis=1))
-    return np.column_stack(cols)
-
-
 def enumerate_statistics(
     stats: StatDef, n: int, mask: ObservationMask | None = None
 ) -> Iterator[np.ndarray]:
@@ -299,7 +284,12 @@ def enumerate_statistics(
 
     Yields blocks of at most 2**16 rows in code order: row c of the
     concatenated blocks belongs to the graph whose k-th free dyad holds
-    bit k of c.
+    bit k of c.  Each count is the base graph's plus what the free dyads
+    add, so a block costs work in the free dyads, not in every dyad or
+    vertex triple of the graph: degrees are the base degrees plus the
+    free bits times their endpoints, and triangles are those of the base
+    graph plus each triple through a free dyad whose other dyads are
+    edges or free and whose free dyads are all on.
     """
     free, base = _space(n, mask)
     k = free.size
@@ -311,6 +301,8 @@ def enumerate_statistics(
     incidence = np.zeros((m, n))
     incidence[np.arange(m), pairs[:, 0]] = 1.0
     incidence[np.arange(m), pairs[:, 1]] = 1.0
+    base_edges = float(base.sum())
+    base_degrees = base.astype(np.float64) @ incidence
     pair_to_index = {tuple(pq): j for j, pq in enumerate(map(tuple, pairs))}
     triples = np.array(
         [
@@ -319,15 +311,30 @@ def enumerate_statistics(
         ],
         dtype=np.int64,
     ).reshape(-1, 3)
+    # Bit of each dyad in the code, 0 for an observed one: a triple
+    # that can close is a triangle exactly when the code holds its bits.
+    code_bit = np.zeros(m, dtype=np.int64)
+    code_bit[free] = 1 << np.arange(k)
+    can_close = (base | (code_bit > 0))[triples].all(axis=1)
+    needs = code_bit[triples].sum(axis=1)[can_close]
+    base_tris = int(np.count_nonzero(needs == 0))
+    needs = needs[needs > 0]
 
     total = 1 << k
     for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        codes = np.arange(lo, hi, dtype=np.int64)
-        dyads = np.broadcast_to(base.astype(np.float64), (hi - lo, m)).copy()
-        if k:
-            dyads[:, free] = (codes[:, None] >> np.arange(k)) & 1
-        yield _chunk_statistics(dyads, stats, incidence, triples)
+        codes = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
+        bits = ((codes[:, None] >> np.arange(k)) & 1).astype(np.float64)
+        cols = []
+        for term in stats.terms:
+            if term is StatTerm.EDGES:
+                cols.append(base_edges + bits.sum(axis=1))
+            elif term is StatTerm.TWO_STARS:
+                deg = base_degrees + bits @ incidence[free]
+                cols.append((deg * (deg - 1.0)).sum(axis=1) / 2.0)
+            else:
+                closed = (codes[:, None] & needs) == needs
+                cols.append((base_tris + closed.sum(axis=1)).astype(np.float64))
+        yield np.column_stack(cols)
 
 
 def statistic_histogram(
@@ -510,30 +517,43 @@ def _bitmask_chain(segments, n, free, state, gains, keep_graphs):
 
 @functools.lru_cache(maxsize=8)
 def _code_table(n: int, mask_bytes):
-    """Every state of the space in code order: its (edges, 2-stars,
-    triangles) row, and for each term the change a toggle of each free
-    dyad makes, a (2**k, k) array.  Read-only arrays."""
+    """The space's states in code order, for the state-code kernel.
+
+    Returns rows, kinds and index.  rows is the (edges, 2-stars,
+    triangles) row of every state, a read-only (2**k, 3) array.  kinds
+    holds the few distinct (d_edges, d_stars, d_tris) changes a toggle
+    makes, as tuples of ints; index[c][t] is the position in kinds of the
+    change a toggle of free dyad t makes in state c.  Both are tuples.
+    """
     rows = np.concatenate(list(enumerate_statistics(_CHAIN_TERMS, n, _mask_of(mask_bytes))))
-    codes = np.arange(rows.shape[0])
+    rows.flags.writeable = False
+    counts = rows.astype(np.int64)
     k = rows.shape[0].bit_length() - 1
-    flipped = codes[:, None] ^ (1 << np.arange(k))
-    deltas = tuple(np.ascontiguousarray(rows[flipped, j] - rows[:, j, None]) for j in range(3))
-    for arr in (rows, *deltas):
-        arr.flags.writeable = False
-    return rows, deltas
+    flipped = np.arange(rows.shape[0])[:, None] ^ (1 << np.arange(k))
+    # Each toggle's change as a mixed-radix key over the changes' span;
+    # the keys that occur, in order, number the kinds.
+    changes = [counts[flipped, j] - counts[:, j, None] for j in range(3)]
+    low = [int(change.min()) for change in changes]
+    radix = tuple(int(change.max()) - lo + 1 for change, lo in zip(changes, low))
+    keys = np.ravel_multi_index([change - lo for change, lo in zip(changes, low)], radix)
+    seen = np.bincount(keys.ravel(), minlength=math.prod(radix)) > 0
+    kinds = np.column_stack(np.unravel_index(np.flatnonzero(seen), radix)) + low
+    index = (np.cumsum(seen) - 1)[keys]
+    return rows, tuple(map(tuple, kinds.tolist())), tuple(map(tuple, index.tolist()))
 
 
-def _table_chain(segments, code: int, thresholds):
-    """Run the chain on the state code: thresholds[c][t] is the gain of
-    toggling free dyad t in state c.  Returns the codes at the records."""
-    bit = [1 << t for t in range(len(thresholds[0]))]
-    row = thresholds[code]
+def _table_chain(segments, code: int, index, gains):
+    """Run the chain on the state code: index[c][t] picks the gain in
+    gains of toggling free dyad t in state c.  Returns the codes at the
+    records."""
+    bit = [1 << t for t in range(len(index[0]))]
+    row = index[code]
     codes = []
     for toggles, logus, recorded in segments:
         for t, logu in zip(toggles, logus):
-            if logu < row[t]:
+            if logu < gains[row[t]]:
                 code ^= bit[t]
-                row = thresholds[code]
+                row = index[code]
         if recorded:
             codes.append(code)
     return codes
@@ -542,21 +562,23 @@ def _table_chain(segments, code: int, thresholds):
 def _runs_on_codes(n: int, n_free: int, steps: int) -> bool:
     """Whether a chain of steps steps runs on the state code.
 
-    Its costs, in twelfths of the time a step saves over the bitmask
-    kernel: 3 per threshold-table entry (n_free * 2**n_free of them, built
-    every call) and 1 per element the space's enumeration touches
-    (2**n_free graphs of n(n-1)/2 dyads and 3 C(n,3) triple entries).
-    The memo usually holds the enumeration, but it is charged on every
-    call, so a cold memo costs no more than the steps save.  (On a
-    2-core x86 machine a step saved about 145 ns, an entry cost 1/6 to
-    1/4 of that and an element 1/38 to 1/14; the weights round those
-    up.  Enumerating n = 30 with 10 free dyads took 0.24 s and 110 MiB,
-    against 1.5 ms saved by a 75-row chain.)
+    Each step on the code saves time over the bitmask kernel; the cost
+    is the cold build of the space's memo, charged on every call, so a
+    cold memo costs no more than the steps save.  In 48ths of a step's
+    saving: 240 per vertex triple of the graph (the enumeration's
+    triangle set-up), 1 per graph, free dyad and vertex (the
+    enumeration's degrees and triangles) and 24 per entry of the
+    per-state index (n_free * 2**n_free of them).  Fixed costs, about
+    0.1 ms a build, are not charged.  (On a 2-core x86 machine a step
+    saved 145 to 400 ns, a triple cost about 0.7 us, a graph, dyad and
+    vertex 1 to 3 ns and an entry 40 to 65 ns; the weights round those
+    up against the smallest saving.  A cold build took 0.6 ms for the
+    1024 graphs on 5 vertices and 4 ms for n = 30 with 10 free dyads.)
     """
     if n_free > _CODE_TABLE_LIMIT:
         return False
-    elements = (_dyad_count(n) + 3 * math.comb(n, 3)) << n_free
-    return 3 * (n_free << n_free) + elements <= 12 * steps
+    cost = 240 * math.comb(n, 3) + ((24 + n) * n_free << n_free)
+    return cost <= 48 * steps
 
 
 def mcmc_sample(
@@ -590,18 +612,21 @@ def mcmc_sample(
 
     Two kernels run the toggles; the input alone picks one.  The
     state-code kernel runs the chain on the code c of the state (bit t
-    is free dyad t): a memo per space holds dg for every state and
-    toggle, from the rows of enumerate_statistics; each call turns it
-    into a table of theta' dg, and a toggle is one comparison and one
-    XOR.  It runs when the space is small next to the chain: at most 12
-    free dyads k, and the table's k * 2**k entries plus the enumeration
-    behind it (charged even when the memo holds it) cost less than the
-    steps save.  The bitmask kernel keeps per-vertex adjacency bitmasks
-    and degrees and computes dg incrementally (degree sums for 2-stars,
-    common neighbors for triangles).  Both evaluate theta' dg with the
-    same operations in the same order, so samples and graphs are
-    bit-identical whichever kernel runs, and to a chain that runs one
-    iteration per step, hold steps included.
+    is free dyad t).  A memo per space, built from the rows of
+    enumerate_statistics, holds the few distinct changes dg a toggle can
+    make and, per state, which of them each toggle makes; each call
+    computes theta' dg once per distinct change, and a toggle is two
+    lookups, one comparison and, if accepted, one XOR.  It runs when the
+    space is small next to the chain: at most 12 free dyads k, and the
+    memo's cold build (charged even when the memo holds it) costs less
+    than the steps save.  The bitmask kernel keeps per-vertex adjacency
+    bitmasks and degrees and computes dg incrementally (degree sums for
+    2-stars, common neighbors for triangles).  Both evaluate theta' dg
+    in Python floats with the same operations in the same order, so
+    samples and graphs are bit-identical whichever kernel runs, and to a
+    chain that runs one iteration per step, hold steps included; at a
+    theta large enough for a gain to overflow to inf or nan, both
+    compare against the same value, and no warning is raised.
 
     count and interval must be integers of at least 1 and n one of at
     least 2 (numpy integers pass, bools do not).
@@ -632,12 +657,11 @@ def mcmc_sample(
     segments = _toggle_segments(rng, n_free, interval, count)
 
     if _runs_on_codes(n, n_free, (10 + count) * interval):
-        table, (d_edges, d_stars, d_tris) = _code_table(*_space_key(n, mask))
+        table, kinds, index = _code_table(*_space_key(n, mask))
         # The gain of the bitmask kernel, term for term in the same order.
-        with np.errstate(over="ignore", invalid="ignore"):
-            thresholds = (t_edge * d_edges + t_star * d_stars + t_tri * d_tris).tolist()
+        gains = [t_edge * de + t_star * ds + t_tri * dt for de, ds, dt in kinds]
         start = sum(1 << t for t, bit in enumerate(on.tolist()) if bit)
-        codes = np.array(_table_chain(segments, start, thresholds))
+        codes = np.array(_table_chain(segments, start, index, gains))
         rows = table[np.ix_(codes, order)]
         snapshots = ((codes[:, None] >> np.arange(n_free)) & 1).astype(bool)
     else:
@@ -696,25 +720,34 @@ def loglik_ratio_hat(dtheta, g_y, g_z, scale: float = 1.0) -> float:
     return _log_mean_exp(scale * (zs @ dt)) - _log_mean_exp(ys @ dt)
 
 
-def loglik_ratio_grad(dtheta, g_y, g_z, scale: float = 1.0) -> np.ndarray:
-    """Gradient of loglik_ratio_hat in dtheta: the difference of
-    softmax-weighted row means, the constrained side carrying scale both
-    as row multiplier and weight temperature."""
+def _soft_moments(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of rows under the weights softmax(x)."""
+    w = _softmax(x)
+    mean = w @ rows
+    centered = rows - mean
+    return mean, (w[:, None] * centered).T @ centered
+
+
+def loglik_ratio_derivatives(dtheta, g_y, g_z, scale: float = 1.0):
+    """Gradient and Hessian of loglik_ratio_hat in dtheta, from one
+    softmax per sample: differences of softmax-weighted row means and
+    covariances, the constrained side carrying scale both as row
+    multiplier and weight temperature (so its covariance is times
+    scale**2)."""
     dt, ys, zs = _ratio_args(dtheta, g_y, g_z, scale)
-    return scale * (_softmax(scale * (zs @ dt)) @ zs) - _softmax(ys @ dt) @ ys
+    mean_z, cov_z = _soft_moments(zs, scale * (zs @ dt))
+    mean_y, cov_y = _soft_moments(ys, ys @ dt)
+    return scale * mean_z - mean_y, scale * scale * cov_z - cov_y
+
+
+def loglik_ratio_grad(dtheta, g_y, g_z, scale: float = 1.0) -> np.ndarray:
+    """Gradient of loglik_ratio_hat in dtheta; see loglik_ratio_derivatives."""
+    return loglik_ratio_derivatives(dtheta, g_y, g_z, scale)[0]
 
 
 def loglik_ratio_hess(dtheta, g_y, g_z, scale: float = 1.0) -> np.ndarray:
-    """Hessian of loglik_ratio_hat in dtheta: the difference of
-    softmax-weighted row covariances, the constrained one times scale**2."""
-    dt, ys, zs = _ratio_args(dtheta, g_y, g_z, scale)
-
-    def soft_cov(rows, x):
-        w = _softmax(x)
-        centered = rows - w @ rows
-        return (w[:, None] * centered).T @ centered
-
-    return scale * scale * soft_cov(zs, scale * (zs @ dt)) - soft_cov(ys, ys @ dt)
+    """Hessian of loglik_ratio_hat in dtheta; see loglik_ratio_derivatives."""
+    return loglik_ratio_derivatives(dtheta, g_y, g_z, scale)[1]
 
 
 def demonstrate_unbounded(g_y, g_z, direction, alphas) -> list[float]:

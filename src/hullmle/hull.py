@@ -12,9 +12,10 @@ The production route answers each query with one free-variable LP:
 
 whose optimal value v gives gamma = -1/v, and whose minimizer z defines
 the supporting hyperplane 1 + x'z = 0 through the boundary point.
-lp.solve recognises this shape and runs its phase-two-only membership
-route, which starts from the feasible all-slack basis at z = 0 and
-gives the same answer, bit for bit, as the general simplex.  The LP has
+Each LP is handed to lp.solve as a MembershipProgram, which holds only
+M and p; it runs the phase-two-only membership route, which starts from
+the feasible all-slack basis at z = 0 and gives the same answer, bit for
+bit, as the general simplex on the same LP.  The LP has
 one row per target point and only d columns, so when the target
 has more than ROW_GENERATION_FACTOR * d rows it is solved by exact row
 generation (Kelley's cutting planes): solve on a small active set of
@@ -40,6 +41,7 @@ from .lp import (
     ConstraintSense,
     LinearProgram,
     LpStatus,
+    MembershipProgram,
     ObjectiveSense,
     SolverConfig,
     dual_of_membership,
@@ -178,19 +180,6 @@ def _centered_point(target: TargetSet, point) -> np.ndarray:
     return p - target.centroid
 
 
-def _membership_lp(rows: np.ndarray, p: np.ndarray) -> LinearProgram:
-    m, d = rows.shape
-    return LinearProgram(
-        objective_sense=ObjectiveSense.MINIMIZE,
-        objective=p,
-        constraint_matrix=rows,
-        constraint_senses=(ConstraintSense.GE,) * m,
-        rhs=-np.ones(m),
-        lower_bounds=np.full(d, -np.inf),
-        upper_bounds=np.full(d, np.inf),
-    )
-
-
 def _classify(gamma: float, cfg: SolverConfig) -> HullStatus:
     if abs(gamma - 1.0) <= cfg.boundary_tol * (1.0 + abs(gamma)):
         return HullStatus.BOUNDARY
@@ -221,13 +210,15 @@ def _solve_by_rows(points: np.ndarray, p: np.ndarray, cfg: SolverConfig):
     When none is left the round's answer is the full LP's: a minimizer
     of a relaxation that is feasible on every row is optimal, and a ray
     that no row cuts off leaves the full LP unbounded.  Every round adds
-    a new row, so the loop ends.
+    a new row, so the loop ends.  With every row active there is nothing
+    to check, and the round's answer is returned as it is.
     """
     active = _seed_rows(points, p)
     m, d = points.shape
     while True:
-        rows = points if active.size == m else points[active]
-        sol = solve(_membership_lp(rows, p), cfg)
+        if active.size == m:
+            return solve(MembershipProgram(points, p), cfg)
+        sol = solve(MembershipProgram(points[active], p), cfg)
         if sol.status is LpStatus.OPTIMAL:
             score, allowed = 1.0 + points @ sol.primal, -2.0 * cfg.feas_tol
         elif sol.status is LpStatus.UNBOUNDED:
@@ -335,7 +326,7 @@ def query_dual(
     p = _centered_point(target, point)
     if np.abs(p).max() <= cfg.feas_tol:
         return DualReport(HullStatus.INTERIOR, None, None)
-    sol = solve(dual_of_membership(_membership_lp(target.points, p)), cfg)
+    sol = solve(dual_of_membership(MembershipProgram(target.points, p)), cfg)
     if sol.status is LpStatus.INFEASIBLE:
         return DualReport(HullStatus.DEGENERATE, None, None)
     if sol.status is not LpStatus.OPTIMAL:

@@ -10,7 +10,9 @@ and takes one of two routes, chosen from the problem alone.
 
 The membership route serves the LP of every hull query: minimize, every
 row >=, rhs identically -1, every bound infinite (min p'z subject to
-M z >= -1 with z free).  Its all-slack basis is feasible at z = 0, so
+M z >= -1 with z free).  A MembershipProgram holds just M and p and
+always takes it; a LinearProgram of that shape takes it too.  Its
+all-slack basis is feasible at z = 0, so
 it runs phase two only, with no artificial columns; the free structural
 columns never leave the basis once they enter, and a leaving slack
 always stops at its upper bound 0.  It performs the same basis solves,
@@ -45,13 +47,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_vector, check_count
 
 __all__ = [
     "ObjectiveSense",
     "ConstraintSense",
     "LpStatus",
     "LinearProgram",
+    "MembershipProgram",
     "SolverConfig",
     "LpSolution",
     "IterationLimitError",
@@ -114,8 +117,9 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.iteration_limit is not None and self.iteration_limit <= 0:
-            raise ValueError("iteration_limit must be positive when given")
+        if self.iteration_limit is not None:
+            object.__setattr__(self, "iteration_limit",
+                               check_count("iteration_limit", self.iteration_limit, 1))
 
 
 @dataclass(frozen=True)
@@ -162,6 +166,32 @@ class LinearProgram:
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "lower_bounds", lo)
         object.__setattr__(self, "upper_bounds", hi)
+
+    @property
+    def n_rows(self) -> int:
+        return self.constraint_matrix.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.constraint_matrix.shape[1]
+
+
+@dataclass(frozen=True)
+class MembershipProgram:
+    """The membership LP min p'z subject to M z >= -1 with z free, held
+    as constraint_matrix M and objective p.  Both must be finite, with
+    one objective entry per column."""
+
+    constraint_matrix: np.ndarray
+    objective: np.ndarray
+
+    def __post_init__(self) -> None:
+        mat = as_matrix(self.constraint_matrix, "constraint_matrix")
+        obj = as_vector(self.objective, "objective")
+        if obj.size != mat.shape[1]:
+            raise ValueError(f"objective has {obj.size} entries for {mat.shape[1]} columns")
+        object.__setattr__(self, "constraint_matrix", mat)
+        object.__setattr__(self, "objective", obj)
 
     @property
     def n_rows(self) -> int:
@@ -513,9 +543,10 @@ class _Simplex:
             )
 
 
-def _is_membership_shape(problem: LinearProgram) -> bool:
-    """True for min p'z subject to M z >= -1 with every z free."""
-    return (
+def _is_membership_shape(problem: LinearProgram | MembershipProgram) -> bool:
+    """True for a MembershipProgram, and for a LinearProgram that is
+    min p'z subject to M z >= -1 with every z free."""
+    return isinstance(problem, MembershipProgram) or (
         problem.objective_sense is ObjectiveSense.MINIMIZE
         and problem.constraint_senses.count(ConstraintSense.GE) == problem.n_rows
         and bool(np.all(problem.rhs == -1.0))
@@ -524,8 +555,9 @@ def _is_membership_shape(problem: LinearProgram) -> bool:
     )
 
 
-def _solve_membership(problem: LinearProgram, cfg: SolverConfig) -> LpSolution:
-    """Phase two of _Simplex on a membership-shaped problem.
+def _solve_membership(problem, cfg: SolverConfig) -> LpSolution:
+    """Phase two of _Simplex on a MembershipProgram or a membership-shaped
+    LinearProgram, whose rhs is -1 in every row.
 
     The all-slack basis is feasible at z = 0.  Basic structurals are
     free, so no ratio test blocks on them and they never leave; a basic
@@ -537,8 +569,9 @@ def _solve_membership(problem: LinearProgram, cfg: SolverConfig) -> LpSolution:
     the two agree bit for bit.  The column block A[:, s_cols] is
     gathered again only when a structural enters.
     """
-    A, c, b = problem.constraint_matrix, problem.objective, problem.rhs
+    A, c = problem.constraint_matrix, problem.objective
     m, n = A.shape
+    b = np.full(m, -1.0)
     limit = cfg.iteration_limit
     limit = ITERATION_LIMIT_FACTOR * (m + n) if limit is None else limit
     tol = cfg.pivot_tol * (1.0 + np.abs(c).max())
@@ -626,22 +659,25 @@ def _solve_membership(problem: LinearProgram, cfg: SolverConfig) -> LpSolution:
     return LpSolution(LpStatus.OPTIMAL, x, float(c @ x), iterations)
 
 
-def solve(problem: LinearProgram, config: SolverConfig | None = None) -> LpSolution:
+def solve(
+    problem: LinearProgram | MembershipProgram, config: SolverConfig | None = None
+) -> LpSolution:
     """Solve a dense LP; deterministic for identical inputs.
 
-    A membership-shaped problem (minimize, every row >=, rhs identically
-    -1, every bound infinite) takes the phase-two-only membership route;
-    any other problem takes the general two-phase simplex.  On the
-    membership shape both routes return bit-identical solutions, so the
-    route is an implementation detail, chosen from the problem alone.
+    A MembershipProgram, and a LinearProgram of membership shape
+    (minimize, every row >=, rhs identically -1, every bound infinite),
+    take the phase-two-only membership route; any other problem takes
+    the general two-phase simplex.  On the membership shape both routes
+    return bit-identical solutions, so the route is an implementation
+    detail, chosen from the problem alone.
 
     Raises IterationLimitError when the pivot budget runs out, and
     ArithmeticError when the final basis fails its feasibility check or
     a basis turns out numerically singular (the numpy LinAlgError is
     chained as its cause, so it is not mistaken for bad input).
     """
-    if not isinstance(problem, LinearProgram):
-        raise TypeError("problem must be a LinearProgram")
+    if not isinstance(problem, (LinearProgram, MembershipProgram)):
+        raise TypeError("problem must be a LinearProgram or a MembershipProgram")
     cfg = config or SolverConfig()
     try:
         if _is_membership_shape(problem):
@@ -651,7 +687,7 @@ def solve(problem: LinearProgram, config: SolverConfig | None = None) -> LpSolut
         raise ArithmeticError(f"simplex basis solve failed: {exc}") from exc
 
 
-def dual_of_membership(primal: LinearProgram) -> LinearProgram:
+def dual_of_membership(primal: LinearProgram | MembershipProgram) -> LinearProgram:
     """Dual of the free-variable membership LP: maximize -1'y subject to
     M'y = p with y >= 0, one weight per target row."""
     if not _is_membership_shape(primal):

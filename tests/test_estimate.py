@@ -348,7 +348,40 @@ def test_formerly_stalled_inner_ascents_converge(monkeypatch):
     dtheta = original_step(*last) - theta
     gradient = loglik_ratio_grad(dtheta, g_y, g_z, cfg.safety_factor * scale)
     assert np.abs(gradient).max() <= 1e-8
-    assert len(evaluations) < 50
+    # Every candidate's value goes through estimate.loglik_ratio_hat.
+    assert 0 < len(evaluations) < 50
+
+
+def test_rejected_line_search_candidates_compute_no_derivatives(monkeypatch):
+    # Master seed 7's first step rejects two line-search candidates.  The
+    # step takes a value at every point it tries and derivatives only at
+    # the start and at each point it moves to, right after its value.
+    graph, mask = masked_k4_instance()
+    cfg = _k4_cfg(7)
+    sy = mcmc_sample(ET, np.zeros(2), 5, cfg.r_target,
+                     seed=SeedSequence(cfg.seed, spawn_key=(0, 0)))
+    sz = mcmc_sample(ET, np.zeros(2), 5, cfg.s_test, mask=mask,
+                     seed=SeedSequence(cfg.seed, spawn_key=(0, 1)))
+    target = make_target_set(sy.rows)
+    scale = min_scale(target, make_test_set(sz.rows)).min_scale
+    expected = rescaled_step(np.zeros(2), target.points, sz.rows - target.centroid, scale, cfg)
+
+    events = []
+    for kind, name in (("value", "loglik_ratio_hat"), ("derivatives", "loglik_ratio_derivatives")):
+        def recording(dtheta, *args, _kind=kind, _original=getattr(estimate, name)):
+            events.append((_kind, dtheta.tobytes()))
+            return _original(dtheta, *args)
+        monkeypatch.setattr(estimate, name, recording)
+    theta = rescaled_step(np.zeros(2), target.points, sz.rows - target.centroid, scale, cfg)
+    assert theta.tobytes() == expected.tobytes()
+
+    values = [point for kind, point in events if kind == "value"]
+    moves = [point for kind, point in events if kind == "derivatives"]
+    assert len(values) - len(moves) == 2
+    assert moves[0] == np.zeros(2).tobytes() and moves[-1] == theta.tobytes()
+    for k, (kind, point) in enumerate(events):
+        if kind == "derivatives":
+            assert events[k - 1] == ("value", point)
 
 
 def test_iterate_scaled_tests_become_interior():

@@ -214,6 +214,34 @@ def test_enumerate_statistics_concatenates_to_per_code_rows(n, mask):
     assert np.array_equal(rows, per_code_rows(EST, n, mask))
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 12, 30])
+def test_triangle_column_matches_the_product_over_every_triple(n):
+    # The column is built from the triples through a free dyad plus the
+    # base graph's count.  It must equal, byte for byte, the float
+    # product over every vertex triple of each graph's three dyads.
+    rng = np.random.default_rng(n)
+    m = n * (n - 1) // 2
+    index = {pair: j for j, pair in enumerate(map(tuple, dyad_pairs(n).tolist()))}
+    triples = np.array([[index[a, b], index[a, c], index[b, c]]
+                        for a, b, c in itertools.combinations(range(n), 3)]).reshape(-1, 3)
+    most_free = max(k for k in range(13) if k <= m and triples.shape[0] << k <= 1 << 18)
+    for trial in range(6):
+        graph = Graph(n=n, edges=rng.random(m) < rng.uniform(0.2, 0.9))
+        k = int(rng.integers(0, most_free + 1))
+        observed = np.ones(m, dtype=bool)
+        observed[rng.choice(m, k, replace=False)] = False
+        mask = ObservationMask.from_graph(graph, observed)
+        if trial == 0 and m <= most_free:
+            mask, k = None, m
+        free, base = expfam._space(n, mask)
+        dyads = np.tile(base.astype(np.float64), (1 << k, 1))
+        dyads[:, free] = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+        expected = dyads[:, triples].prod(axis=2).sum(axis=1)
+        (column,) = enumerate_statistics(StatDef((StatTerm.TRIANGLES,)), n, mask)
+        assert column.dtype == np.float64 and column.shape == (1 << k, 1)
+        assert column[:, 0].tobytes() == expected.tobytes()
+
+
 def test_enumerate_statistics_chunks_in_code_order():
     # Two full chunks, checked across their seam.
     n, mask = seam_space()
@@ -565,6 +593,42 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+# Each entry overflows a gain: to +inf or -inf, and to nan where terms of
+# both signs overflow.
+EXTREME_THETAS = [(1e308, -1e308, 1e308), (-1e308, 1e308, -1e308), (1e308, 1e308, 1e308),
+                  (-1e308, -1.0, 1e308)]
+
+
+@pytest.mark.parametrize("theta", EXTREME_THETAS)
+@pytest.mark.parametrize("on_codes", [True, False], ids=["state-code", "bitmask"])
+def test_kernels_match_reference_at_extreme_theta(monkeypatch, kernel_calls, on_codes, theta):
+    monkeypatch.setattr(expfam, "_runs_on_codes", lambda *args: on_codes)
+    n, mask = masked_n5()
+    t_edge, t_star, t_tri = theta
+    _, kinds, _ = expfam._code_table(*expfam._space_key(n, None))
+    assert any(math.isinf(t_edge * de + t_star * ds + t_tri * dt) for de, ds, dt in kinds)
+    theta = np.array(theta)
+    for space in (None, mask):
+        # The sampler runs outside errstate, so a warning from it fails
+        # the test; the reference computes in numpy scalars, which warn.
+        sample = mcmc_sample(EST, theta, n, 20, mask=space, seed=SeedSequence(8),
+                             keep_graphs=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows, graphs = reference_sample(EST, theta, n, 20, mask=space, seed=SeedSequence(8))
+        assert sample.rows.tobytes() == rows.tobytes()
+        assert [g.edges.tobytes() for g in sample.graphs] == [g.edges.tobytes() for g in graphs]
+    assert kernel_calls == ["_table_chain" if on_codes else "_bitmask_chain"] * 2
+
+
+def test_extreme_theta_reaches_nan_gains():
+    # The first extreme theta's gains include nan, so the comparison above
+    # covers the nan threshold too.
+    _, kinds, _ = expfam._code_table(*expfam._space_key(5, None))
+    t_edge, t_star, t_tri = EXTREME_THETAS[0]
+    gains = [t_edge * de + t_star * ds + t_tri * dt for de, ds, dt in kinds]
+    assert any(map(math.isnan, gains)) and any(map(math.isinf, gains))
+
+
 def free_dyads_at_cutover(n, steps):
     """The most free dyads whose chain of steps steps runs on state codes."""
     k = max(k for k in range(n * (n - 1) // 2 + 1) if expfam._runs_on_codes(n, k, steps))
@@ -572,7 +636,7 @@ def free_dyads_at_cutover(n, steps):
     return k
 
 
-@pytest.mark.parametrize("count, interval, expected_k", [(30, 20, 6), (70, 1000, 12)],
+@pytest.mark.parametrize("count, interval, expected_k", [(30, 20, 7), (70, 1000, 12)],
                          ids=["by-cost", "by-limit"])
 @pytest.mark.parametrize("past", [0, 1], ids=["at-cutover", "one-past"])
 def test_both_kernels_match_reference_at_the_cutover(kernel_calls, count, interval,
@@ -593,14 +657,24 @@ def test_both_kernels_match_reference_at_the_cutover(kernel_calls, count, interv
 
 
 def test_code_table_arrays_are_read_only():
+    # The state-code kernel's memo cannot be changed by a caller: the rows
+    # are a read-only array, the toggle kinds and the per-state index are
+    # tuples of ints.  Together they give every toggle's change.
     n, mask = masked_n5()
-    rows, deltas = expfam._code_table(*expfam._space_key(n, mask))
-    assert rows.shape == (1 << mask.n_free, 3)
-    assert [d.shape for d in deltas] == [(1 << mask.n_free, mask.n_free)] * 3
-    for arr in (rows, *deltas):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 99.0
+    k = mask.n_free
+    rows, kinds, index = expfam._code_table(*expfam._space_key(n, mask))
+    assert rows.shape == (1 << k, 3)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0] = 99.0
+    assert type(kinds) is tuple and len(set(kinds)) == len(kinds)
+    assert all(type(kind) is tuple and len(kind) == 3 for kind in kinds)
+    assert all(type(v) is int for kind in kinds for v in kind)
+    assert type(index) is tuple and len(index) == 1 << k
+    assert all(type(row) is tuple and len(row) == k for row in index)
+    for code, row in enumerate(index):
+        for t, kind in enumerate(row):
+            assert kinds[kind] == tuple(rows[code ^ (1 << t)] - rows[code])
 
 
 @pytest.mark.parametrize("mask, count, digest", [

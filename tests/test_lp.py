@@ -13,6 +13,7 @@ from hullmle.lp import (
     IterationLimitError,
     LinearProgram,
     LpStatus,
+    MembershipProgram,
     ObjectiveSense,
     SolverConfig,
     dual_of_membership,
@@ -219,6 +220,19 @@ def test_solver_config_rejects_tolerances_that_are_not_finite_and_positive(
         SolverConfig(**{name: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, True, False, 0, -3, "5", 1e3])
+def test_solver_config_iteration_limit_is_a_count(value):
+    with pytest.raises(ValueError, match="iteration_limit must be an integer of at least 1"):
+        SolverConfig(iteration_limit=value)
+
+
+def test_solver_config_iteration_limit_takes_integers():
+    assert SolverConfig().iteration_limit is None
+    for value in (1, np.int64(7), np.int32(7)):
+        limit = SolverConfig(iteration_limit=value).iteration_limit
+        assert limit == value and type(limit) is int
+
+
 def test_solution_feasibility_on_random_instances():
     rng = np.random.default_rng(17)
     config = SolverConfig()
@@ -398,3 +412,104 @@ def test_off_shape_problems_take_the_general_route(monkeypatch, kind):
     _assert_same_as_general(problem)
     with pytest.raises(ValueError, match="membership primal"):
         dual_of_membership(problem)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-shape membership program
+
+
+@pytest.mark.parametrize("matrix, objective, message", [
+    (np.array([[1.0, np.nan]]), np.ones(2), "constraint_matrix contains NaN"),
+    (np.array([[1.0, np.inf]]), np.ones(2), "constraint_matrix contains NaN"),
+    (np.ones((3, 2)), np.array([1.0, -np.inf]), "objective contains NaN"),
+    (np.ones((3, 2)), np.array([np.nan, 1.0]), "objective contains NaN"),
+    (np.ones((3, 2)), np.ones(3), "objective has 3 entries for 2 columns"),
+    (np.ones((3, 2)), np.ones(1), "objective has 1 entries for 2 columns"),
+    (np.ones(3), np.ones(3), "constraint_matrix must be two dimensional"),
+    (np.ones((0, 2)), np.ones(2), "constraint_matrix must be non-empty"),
+])
+def test_membership_program_rejects_bad_input(matrix, objective, message):
+    with pytest.raises(ValueError, match=message):
+        MembershipProgram(matrix, objective)
+
+
+def test_membership_program_sizes():
+    program = MembershipProgram(np.arange(12).reshape(4, 3), [1, 2, 3])
+    assert (program.n_rows, program.n_cols) == (4, 3)
+    assert program.constraint_matrix.dtype == program.objective.dtype == np.float64
+
+
+def _assert_program_matches(points, p, config=None):
+    """A MembershipProgram of points and p answers byte for byte as the
+    LinearProgram route and the general simplex do."""
+    program = MembershipProgram(points, p)
+    problem = _membership_problem(points, p)
+    try:
+        theirs = _assert_same_as_general(problem, config)
+    except IterationLimitError as exc:
+        with pytest.raises(IterationLimitError) as ours:
+            solve(program, config)
+        assert ours.value.iterations == exc.iterations
+        return None
+    ours = solve(program, config)
+    assert ours.status is theirs.status
+    assert ours.iterations == theirs.iterations
+    assert _bytes(ours.primal) == _bytes(theirs.primal)
+    assert _bytes(ours.ray) == _bytes(theirs.ray)
+    assert repr(ours.objective_value) == repr(theirs.objective_value)
+    return ours
+
+
+def test_membership_program_matches_both_routes():
+    rng = np.random.default_rng(31)
+    statuses = set()
+    for _ in range(40):
+        r, d = int(rng.integers(1, 120)), int(rng.integers(1, 7))
+        sol = _assert_program_matches(rng.standard_normal((r, d)), rng.standard_normal(d))
+        statuses.add(sol.status)
+    for k in range(6):
+        rows = _ergm_cloud(rng, n=int(rng.integers(6, 12)), duplicate=1 + k % 3)
+        p = rng.standard_normal(3) * rows.std(axis=0)
+        statuses.add(_assert_program_matches(rows, p).status)
+    for d in (2, 3, 5):
+        rank, m = int(rng.integers(1, d)), int(rng.integers(2, 200))
+        rows = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, d))
+        statuses.add(_assert_program_matches(rows, rng.standard_normal(d)).status)
+    assert statuses == {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}
+
+
+def test_membership_program_iteration_limit_matches():
+    rng = np.random.default_rng(13)
+    points, p = rng.standard_normal((40, 6)), rng.standard_normal(6)
+    assert _assert_program_matches(points, p, SolverConfig(iteration_limit=1)) is None
+
+
+def test_membership_program_takes_the_membership_route(monkeypatch):
+    calls = []
+    original = lp._solve_membership
+
+    def recording(problem, config):
+        calls.append(problem)
+        return original(problem, config)
+
+    monkeypatch.setattr(lp, "_solve_membership", recording)
+    rng = np.random.default_rng(24)
+    program = MembershipProgram(rng.standard_normal((12, 3)), rng.standard_normal(3))
+    solve(program)
+    assert calls == [program]
+
+
+def test_membership_program_dual_matches_the_linear_program_dual():
+    rng = np.random.default_rng(25)
+    points, p = rng.standard_normal((15, 3)), rng.standard_normal(3)
+    ours = dual_of_membership(MembershipProgram(points, p))
+    theirs = dual_of_membership(_membership_problem(points, p))
+    for name in ("objective", "constraint_matrix", "rhs", "lower_bounds", "upper_bounds"):
+        assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes()
+    assert ours.constraint_senses == theirs.constraint_senses
+    assert ours.objective_sense is theirs.objective_sense
+
+
+def test_solve_rejects_other_problem_types():
+    with pytest.raises(TypeError, match="LinearProgram or a MembershipProgram"):
+        solve((np.ones((2, 2)), np.ones(2)))
