@@ -57,7 +57,10 @@ __all__ = [
 
 # Free-dyad enumeration cap: 2**25 graphs.
 ENUM_LIMIT = 25
-_CHUNK = 1 << 16
+# Rows per enumeration block: 2**12 keeps a block's temporaries (bit
+# matrix, degree and triangle tests) near 1-2 MiB, where 2**16 took
+# 10-40 MiB and ran slower on n = 6-7.
+_CHUNK = 1 << 12
 _RNG_BLOCK = 1 << 13
 # The state-code kernel of mcmc_sample runs spaces of at most this many
 # free dyads, so a memoized space stays under 0.8 MB.
@@ -282,7 +285,7 @@ def enumerate_statistics(
 ) -> Iterator[np.ndarray]:
     """Statistic rows of every graph in the (possibly constrained) space.
 
-    Yields blocks of at most 2**16 rows in code order: row c of the
+    Yields blocks of at most 2**12 rows (_CHUNK) in code order: row c of the
     concatenated blocks belongs to the graph whose k-th free dyad holds
     bit k of c.  Each count is the base graph's plus what the free dyads
     add, so a block costs work in the free dyads, not in every dyad or
@@ -663,7 +666,8 @@ def mcmc_sample(
         start = sum(1 << t for t, bit in enumerate(on.tolist()) if bit)
         codes = np.array(_table_chain(segments, start, index, gains))
         rows = table[np.ix_(codes, order)]
-        snapshots = ((codes[:, None] >> np.arange(n_free)) & 1).astype(bool)
+        if keep_graphs:
+            snapshots = ((codes[:, None] >> np.arange(n_free)) & 1).astype(bool)
     else:
         state = base.copy()
         state[free] = on

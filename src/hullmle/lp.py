@@ -15,9 +15,24 @@ always takes it; a LinearProgram of that shape takes it too.  Its
 all-slack basis is feasible at z = 0, so
 it runs phase two only, with no artificial columns; the free structural
 columns never leave the basis once they enter, and a leaving slack
-always stops at its upper bound 0.  It performs the same basis solves,
-products and tie breaks as the general route does on that shape, so the
-two give bit-identical solutions, iteration counts and rays.
+always stops at its upper bound 0.
+
+The route has two kernels, and the problem's shape alone picks one
+(_runs_on_floats): problems with at most 5 columns and 200 entries, the
+shape of every estimator hull query, choose their pivots in Python
+floats; larger ones in numpy, with the basis solves, products and tie
+breaks the general route performs on this shape.  Both follow the same
+pivot rules, and every number either returns (minimizer, objective,
+feasibility check, ray) comes from numpy on the final basis.  The numpy
+kernel therefore matches the general route bit for bit in solutions,
+iteration counts and rays.  The float kernel matches it too unless an
+exact tie meets a last-bit difference between its block solve and
+LAPACK's (which fuses multiply-adds): on 20,000 full-rank clouds of
+distinct small-integer rows (2-3 columns, up to 30 rows) 16 LPs took
+other pivots and 9 ended at another optimal vertex with the same
+objective, with no status or error differing; on Gaussian, sampled
+ERGM and column-scaled clouds, with their duplicates and near-ties,
+the two kernels agree bit for bit.
 
 The general route runs a two-phase bounded-variable revised simplex on
 anything else, including the dual and box-constrained cross-checks.
@@ -41,6 +56,7 @@ results.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, field
@@ -555,6 +571,24 @@ def _is_membership_shape(problem: LinearProgram | MembershipProgram) -> bool:
     )
 
 
+def _runs_on_floats(m: int, n: int) -> bool:
+    """True when an m x n membership LP is cheaper on _membership_floats
+    than on _membership_arrays.
+
+    Per pivot both kernels do O(m k) work on a k x k block, k <= n; numpy
+    adds a fixed cost of about 20 calls, Python floats a cost per entry.
+    Timed on Gaussian clouds (2-core x86, interleaved min of 5-7 runs of
+    30-60 problems), the float kernel took 0.45-0.6 of the numpy kernel's
+    time at m n <= 60, 0.55-0.85 at m n = 100-250 with n <= 5 (two runs
+    under load read 1.0-1.1), and broke even near m n = 400 at n = 2-3,
+    300 at n = 5 and 200-240 at n = 6-10.
+    The rule keeps a margin below break-even.  Every estimator LP (3-20 x
+    2 and 8-20 x 3 in the estimator loop, the 49 x 2 exact-MLE hull) runs
+    on floats and every cube-corner round (n = 20) on numpy.
+    """
+    return n <= 5 and m * n <= 200
+
+
 def _solve_membership(problem, cfg: SolverConfig) -> LpSolution:
     """Phase two of _Simplex on a MembershipProgram or a membership-shaped
     LinearProgram, whose rhs is -1 in every row.
@@ -563,13 +597,55 @@ def _solve_membership(problem, cfg: SolverConfig) -> LpSolution:
     free, so no ratio test blocks on them and they never leave; a basic
     slack blocks only at its upper bound 0.  The basis is therefore the
     basic structural columns over the rows whose slack has left, a k x k
-    block with k <= n.  Each pivot solves that block three times (basic
-    values, duals, entering column), forms one A'y and ratio-tests the
-    basic slacks, with the expressions _Simplex uses on this shape, so
-    the two agree bit for bit.  The column block A[:, s_cols] is
-    gathered again only when a structural enters.
+    block with k <= n.
+
+    The problem's shape alone picks one of two kernels (_runs_on_floats):
+    small problems pick their pivots in Python floats, larger ones in
+    numpy.  Both price with Dantzig's rule over [structurals | slacks of
+    covered rows], lowest index winning ties, switch permanently to
+    Bland's rule after DEGENERATE_SWITCH_FACTOR (m + n) degenerate
+    pivots, ratio-test with DEGENERATE_STEP and stop at the same pivot
+    budget.  Every number either returns comes from numpy on the final
+    basis, through the expressions _Simplex uses on this shape, so a
+    kernel that ends on the basis _Simplex ends on returns its solution
+    bit for bit.
     """
     A, c = problem.constraint_matrix, problem.objective
+    if _runs_on_floats(*A.shape):
+        return _membership_floats(A, c, cfg)
+    return _membership_arrays(A, c, cfg)
+
+
+def _membership_optimum(A, c, cfg: SolverConfig, s_cols, x_s, iterations) -> LpSolution:
+    """The optimal solution with basic structurals s_cols at x_s, checked
+    against every row; with rhs -1 each row allows feas_tol (1 + 1)."""
+    x = np.zeros(A.shape[1])
+    x[s_cols] = x_s
+    resid = -1.0 - A @ x
+    bad = resid > cfg.feas_tol * 2.0
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ArithmeticError(
+            f"optimal basis violates row {i} by {resid[i]:.3e}; numerical trouble"
+        )
+    return LpSolution(LpStatus.OPTIMAL, x, float(c @ x), iterations)
+
+
+def _membership_ray(n: int, e: int, sigma: float, s_cols, w_s, iterations) -> LpSolution:
+    """The unbounded answer: entering column e moves by sigma and the
+    basic structurals by -sigma w_s."""
+    ray = np.zeros(n)
+    if e < n:
+        ray[e] = sigma
+    ray[s_cols] -= sigma * w_s
+    return LpSolution(LpStatus.UNBOUNDED, None, None, iterations, ray=ray)
+
+
+def _membership_arrays(A, c, cfg: SolverConfig) -> LpSolution:
+    """The membership kernel on numpy arrays.  Each pivot solves the
+    block three times (basic values, duals, entering column), forms one
+    A'y and ratio-tests the basic slacks.  The column block A[:, s_cols]
+    is gathered again only when a structural enters."""
     m, n = A.shape
     b = np.full(m, -1.0)
     limit = cfg.iteration_limit
@@ -622,11 +698,7 @@ def _solve_membership(problem, cfg: SolverConfig) -> LpSolution:
             t = np.maximum(0.0, (0.0 - slack_vals[rising]) / rates[rising])
         t_min = t.min() if t.size else np.inf
         if not np.isfinite(t_min):
-            ray = np.zeros(n)
-            if e < n:
-                ray[e] = sigma
-            ray[s_cols] -= sigma * w_s
-            return LpSolution(LpStatus.UNBOUNDED, None, None, iterations, ray=ray)
+            return _membership_ray(n, e, sigma, s_cols, w_s, iterations)
         first = np.flatnonzero(t <= t_min + DEGENERATE_STEP)[0]
 
         iterations += 1
@@ -647,16 +719,190 @@ def _solve_membership(problem, cfg: SolverConfig) -> LpSolution:
         else:
             covered[e - n] = False
 
-    x = np.zeros(n)
-    x[s_cols] = x_s
-    resid = b - A @ x
-    bad = resid > cfg.feas_tol * (1.0 + np.abs(b))
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise ArithmeticError(
-            f"optimal basis violates row {i} by {resid[i]:.3e}; numerical trouble"
-        )
-    return LpSolution(LpStatus.OPTIMAL, x, float(c @ x), iterations)
+    return _membership_optimum(A, c, cfg, s_cols, x_s, iterations)
+
+
+def _factor(block: list) -> tuple[list, list]:
+    """LU factors of a k x k block (a list of row lists) by elimination
+    with partial pivoting, first largest magnitude winning and the
+    column scaled by the pivot's reciprocal, as in LAPACK's getf2: (rows
+    holding L below the unit diagonal and U on and above it, the row
+    order).  An exactly zero pivot raises LinAlgError, as
+    np.linalg.solve does."""
+    lu = [row[:] for row in block]
+    k = len(lu)
+    order = list(range(k))
+    for p in range(k):
+        r = p
+        for i in range(p + 1, k):
+            if abs(lu[i][p]) > abs(lu[r][p]):
+                r = i
+        pivot = lu[r][p]
+        if pivot == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        if r != p:
+            lu[p], lu[r] = lu[r], lu[p]
+            order[p], order[r] = order[r], order[p]
+        top, inverse = lu[p], 1.0 / pivot
+        for row in lu[p + 1 :]:
+            f = row[p] * inverse
+            row[p] = f
+            for j in range(p + 1, k):
+                row[j] -= f * top[j]
+    return lu, order
+
+
+def _lu_solve(lu: list, order: list, v: list) -> list:
+    """x with B x = v, from B's factors."""
+    k = len(lu)
+    x = [v[i] for i in order]
+    for i in range(1, k):
+        row = lu[i]
+        s = x[i]
+        for j in range(i):
+            s -= row[j] * x[j]
+        x[i] = s
+    for i in range(k - 1, -1, -1):
+        row = lu[i]
+        s = x[i]
+        for j in range(k - 1, i, -1):
+            s -= row[j] * x[j]
+        x[i] = s / row[i]
+    return x
+
+
+def _lu_solve_transposed(lu: list, order: list, v: list) -> list:
+    """y with B' y = v, from B's factors."""
+    k = len(lu)
+    q = list(v)
+    for i in range(k):
+        s = q[i]
+        for j in range(i):
+            s -= lu[j][i] * q[j]
+        q[i] = s / lu[i][i]
+    for i in range(k - 2, -1, -1):
+        s = q[i]
+        for j in range(i + 1, k):
+            s -= lu[j][i] * q[j]
+        q[i] = s
+    y = [0.0] * k
+    for i, r in enumerate(order):
+        y[r] = q[i]
+    return y
+
+
+def _membership_floats(A, c, cfg: SolverConfig) -> LpSolution:
+    """The membership kernel on Python floats, for small problems.
+
+    It walks the pivots of _membership_arrays on the columns of A as
+    lists: one LU factorization of the block per pivot serves the basic
+    values, the duals and the entering column, pricing visits the
+    nonbasic structurals and the covered rows' slacks, and the ratio test
+    the uncovered rows that rise.  These floats only choose pivots; the
+    answer is computed by numpy on the final basis.  They can differ from
+    LAPACK's in the last bits (its 2 x 2 solve fuses multiply-adds), so
+    an exact tie can break the other way; see the module docstring.
+    """
+    m, n = A.shape
+    cols = A.T.tolist()
+    cost = c.tolist()
+    limit = cfg.iteration_limit
+    limit = ITERATION_LIMIT_FACTOR * (m + n) if limit is None else limit
+    switch = DEGENERATE_SWITCH_FACTOR * (m + n)
+    step = DEGENERATE_STEP
+    rate_tol = cfg.pivot_tol
+    tol = rate_tol * (1.0 + max(map(abs, cost)))
+    s_cols: list[int] = []  # basic structurals, sorted
+    w_rows: list[int] = []  # rows whose slack left the basis, sorted
+    covered = [False] * m
+    iterations, degenerate_run, bland = 0, 0, False
+    while True:
+        k = len(s_cols)
+        if k:
+            block = [[cols[j][i] for j in s_cols] for i in w_rows]
+            lu, order = _factor(block)
+            x_s = _lu_solve(lu, order, [-1.0] * k)
+            y_w = _lu_solve_transposed(lu, order, [cost[j] for j in s_cols])
+        else:
+            x_s = y_w = []
+
+        # Price [structurals | slacks of covered rows] in index order; a
+        # strictly larger score replaces the best, so the lowest index
+        # wins ties, and Bland's rule takes the first eligible.
+        e, best, d_e = -1, tol, 0.0
+        for j in range(n):
+            if j in s_cols:
+                continue
+            col, dot = cols[j], 0.0
+            for i, y in zip(w_rows, y_w):
+                dot += col[i] * y
+            d = cost[j] - dot
+            if abs(d) > best:
+                e, best, d_e = j, abs(d), d
+                if bland:
+                    break
+        if e < 0 or not bland:
+            for i, y in zip(w_rows, y_w):
+                if -y > best:
+                    e, best = n + i, -y
+                    if bland:
+                        break
+        if e < 0:
+            break
+        if e < n:
+            sigma = 1.0 if d_e < 0.0 else -1.0
+            entering = cols[e]
+            w_s = _lu_solve(lu, order, [entering[i] for i in w_rows]) if k else []
+        else:
+            sigma = -1.0
+            entering = [0.0] * m  # zero off row e - n, which is covered
+            w_s = _lu_solve(lu, order, [float(i == e - n) for i in w_rows])
+
+        # Ratio test: a basic slack whose rate -sigma (a_e - A_s w_s)
+        # rises past pivot_tol blocks at 0, after (0 - slack) / rate.
+        a_w, a_x = [0.0] * m, [0.0] * m
+        for j, w, x in zip(s_cols, w_s, x_s):
+            col = cols[j]
+            a_w = [u + a * w for u, a in zip(a_w, col)]
+            a_x = [u + a * x for u, a in zip(a_x, col)]
+        if sigma > 0.0:
+            rates = [u - a for u, a in zip(a_w, entering)]
+        else:
+            rates = [a - u for u, a in zip(a_w, entering)]
+        hits = [i for i, rate in enumerate(rates) if rate > rate_tol and not covered[i]]
+        ts = [0.0 if (t := (0.0 - (-1.0 - a_x[i])) / rates[i]) < 0.0 else t for i in hits]
+        # numpy's min is NaN when any entry is; Python's need not be.
+        t_min = min(ts, default=math.inf)
+        if not math.isfinite(t_min) or any(map(math.isnan, ts)):
+            column = [cols[e][i] if e < n else float(i == e - n) for i in w_rows]
+            w_s = np.linalg.solve(np.array(block), np.array(column)) if k else np.zeros(0)
+            return _membership_ray(n, e, sigma, s_cols, w_s, iterations)
+        first, reach = 0, t_min + step
+        while ts[first] > reach:
+            first += 1
+
+        iterations += 1
+        if iterations > limit:
+            raise IterationLimitError(iterations)
+        if ts[first] < step:
+            degenerate_run += 1
+            if degenerate_run > switch:
+                bland = True
+        else:
+            degenerate_run = 0
+
+        row = hits[first]
+        covered[row] = True
+        bisect.insort(w_rows, row)
+        if e < n:
+            bisect.insort(s_cols, e)
+        else:
+            covered[e - n] = False
+            w_rows.remove(e - n)
+
+    # block holds A[w_rows][:, s_cols] exactly, as Python floats hold float64.
+    x_s = np.linalg.solve(np.array(block), np.full(k, -1.0)) if k else np.zeros(0)
+    return _membership_optimum(A, c, cfg, s_cols, x_s, iterations)
 
 
 def solve(
@@ -667,9 +913,11 @@ def solve(
     A MembershipProgram, and a LinearProgram of membership shape
     (minimize, every row >=, rhs identically -1, every bound infinite),
     take the phase-two-only membership route; any other problem takes
-    the general two-phase simplex.  On the membership shape both routes
-    return bit-identical solutions, so the route is an implementation
-    detail, chosen from the problem alone.
+    the general two-phase simplex.  On the membership shape the two
+    routes return bit-identical solutions except where an exact tie
+    breaks differently on the float kernel (see the module docstring),
+    so the route is an implementation detail, chosen from the problem
+    alone.
 
     Raises IterationLimitError when the pivot budget runs out, and
     ArithmeticError when the final basis fails its feasibility check or

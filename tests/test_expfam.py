@@ -197,7 +197,7 @@ def masked_n5():
 
 
 def seam_space():
-    """n = 7 with 17 free dyads: two enumeration chunks."""
+    """n = 7 with 17 free dyads: several enumeration chunks."""
     observed = np.zeros(21, dtype=bool)
     observed[:4] = True
     return 7, ObservationMask.from_graph(Graph.complete(7), observed)
@@ -243,12 +243,13 @@ def test_triangle_column_matches_the_product_over_every_triple(n):
 
 
 def test_enumerate_statistics_chunks_in_code_order():
-    # Two full chunks, checked across their seam.
+    # Full chunks of expfam._CHUNK rows, checked across their seams.
     n, mask = seam_space()
+    chunk = expfam._CHUNK
     blocks = list(enumerate_statistics(ET, n, mask))
-    assert [b.shape for b in blocks] == [(1 << 16, 2), (1 << 16, 2)]
+    assert [b.shape for b in blocks] == [(chunk, 2)] * ((1 << 17) // chunk)
     rows = np.concatenate(blocks)
-    for c in (0, 1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, (1 << 17) - 1):
+    for c in (0, 1, chunk - 1, chunk, chunk + 1, (1 << 16) - 1, 1 << 16, (1 << 17) - 1):
         assert np.array_equal(rows[c], statistics(graph_of_code(n, mask, c), ET))
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hullmle import lp
+from hullmle.estimate import EstimatorConfig, iterate_until_contained
 from hullmle.expfam import StatDef, mcmc_sample
 from hullmle.lp import (
     ConstraintSense,
@@ -19,6 +21,8 @@ from hullmle.lp import (
     dual_of_membership,
     solve,
 )
+
+from conftest import masked_k4_instance
 
 
 def _simple_lp():
@@ -293,6 +297,25 @@ def _assert_same_as_general(problem, config=None):
     return ours
 
 
+# Rules that force one membership kernel whatever the problem's shape.
+KERNELS = {"floats": lambda m, n: True, "arrays": lambda m, n: False}
+
+
+@contextlib.contextmanager
+def _forced(kernel):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_runs_on_floats", KERNELS[kernel])
+        yield
+
+
+def _assert_each_kernel_matches_general(problem, config=None):
+    """_assert_same_as_general with each membership kernel forced."""
+    for kernel in KERNELS:
+        with _forced(kernel):
+            ours = _assert_same_as_general(problem, config)
+    return ours
+
+
 def _ergm_cloud(rng, n, duplicate):
     """Centered edges/2-stars/triangles rows of an MCMC sample, with rows
     repeated and half of the repeats nudged by a relative 1e-10."""
@@ -311,7 +334,7 @@ def test_membership_route_matches_general_on_gaussian_clouds(seed):
     rng = np.random.default_rng(seed)
     r = int(rng.integers(1, 120))
     d = int(rng.integers(1, 7))
-    _assert_same_as_general(
+    _assert_each_kernel_matches_general(
         _membership_problem(rng.standard_normal((r, d)), rng.standard_normal(d)))
 
 
@@ -329,12 +352,36 @@ def test_membership_route_matches_general_on_ergm_clouds(monkeypatch, bland_at_o
         for _ in range(4):
             p = rng.standard_normal(3) * spread * rng.uniform(0.2, 3.0)
             problem = _membership_problem(rows, p)
-            statuses.add(_assert_same_as_general(problem).status)
+            statuses.add(_assert_each_kernel_matches_general(problem).status)
             general = lp._Simplex(problem, SolverConfig())
             general.solve()
             switched += general.bland
     assert statuses == {LpStatus.OPTIMAL}
     assert (switched > 0) is bland_at_once
+
+
+@pytest.mark.parametrize("factor", [0.0, 1.0 / 32.0], ids=["switch-at-1", "switch-at-2"])
+def test_bland_rule_matches_general_with_structurals_left_to_enter(monkeypatch, factor):
+    # Column 0 enters first, and only the half of the rows that read 1
+    # there block it, all at z0 = -1: the next pivots are degenerate, and
+    # Bland's rule then picks among structurals that have not entered.
+    # With m + n = 32 the rule takes over after 1 or 2 degenerate pivots.
+    monkeypatch.setattr(lp, "DEGENERATE_SWITCH_FACTOR", factor)
+    rng = np.random.default_rng(28)
+    switched = 0
+    for d in (4, 5, 6):
+        for _ in range(8):
+            rows = rng.standard_normal((32 - d, d))
+            rows[:, 0] = -np.abs(rows[:, 0])
+            rows[::2, 0] = 1.0
+            p = rng.uniform(-1.0, 1.0, d)
+            p[0] = 3.0
+            problem = _membership_problem(rows, p)
+            _assert_each_kernel_matches_general(problem)
+            general = lp._Simplex(problem, SolverConfig())
+            general.solve()
+            switched += general.bland
+    assert switched == 24
 
 
 def test_membership_route_matches_general_on_column_scales():
@@ -345,7 +392,7 @@ def test_membership_route_matches_general_on_column_scales():
             m = int(rng.integers(d + 1, 400))
             rows = rng.standard_normal((m, d)) * rng.permutation(scales)
             p = rng.standard_normal(d) * scales * rng.uniform(0.1, 4.0)
-            _assert_same_as_general(_membership_problem(rows, p))
+            _assert_each_kernel_matches_general(_membership_problem(rows, p))
 
 
 def test_membership_route_matches_general_unbounded_rays():
@@ -355,7 +402,8 @@ def test_membership_route_matches_general_unbounded_rays():
         for _ in range(6):
             rank, m = int(rng.integers(1, d)), int(rng.integers(2, 200))
             rows = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, d))
-            sol = _assert_same_as_general(_membership_problem(rows, rng.standard_normal(d)))
+            sol = _assert_each_kernel_matches_general(
+                _membership_problem(rows, rng.standard_normal(d)))
             assert sol.status is LpStatus.UNBOUNDED
             assert (rows @ sol.ray >= -1e-9).all()
 
@@ -364,12 +412,14 @@ def test_membership_route_iteration_limit_matches_general():
     rng = np.random.default_rng(13)
     problem = _membership_problem(rng.standard_normal((40, 6)), rng.standard_normal(6))
     config = SolverConfig(iteration_limit=1)
-    with pytest.raises(IterationLimitError) as ours:
-        solve(problem, config)
     with pytest.raises(IterationLimitError) as theirs:
         _general(problem, config)
-    assert ours.value.iterations == theirs.value.iterations == 2
-    _assert_same_as_general(problem, SolverConfig(iteration_limit=_general(problem).iterations))
+    for kernel in KERNELS:
+        with _forced(kernel), pytest.raises(IterationLimitError) as ours:
+            solve(problem, config)
+        assert ours.value.iterations == theirs.value.iterations == 2
+    _assert_each_kernel_matches_general(
+        problem, SolverConfig(iteration_limit=_general(problem).iterations))
 
 
 def _shape_probe():
@@ -409,9 +459,121 @@ def test_off_shape_problems_take_the_general_route(monkeypatch, kind):
     monkeypatch.setattr(lp, "_solve_membership", refuse)
     base = _shape_probe()
     problem = dataclasses.replace(base, **OFF_SHAPE[kind](base))
-    _assert_same_as_general(problem)
+    _assert_each_kernel_matches_general(problem)
     with pytest.raises(ValueError, match="membership primal"):
         dual_of_membership(problem)
+
+
+# ---------------------------------------------------------------------------
+# the two membership kernels
+
+
+def _spy_kernels(monkeypatch):
+    """Record the shape of every problem each membership kernel solves."""
+    seen = {"floats": [], "arrays": []}
+    for kernel, name in (("floats", "_membership_floats"), ("arrays", "_membership_arrays")):
+        def spy(A, c, cfg, original=getattr(lp, name), shapes=seen[kernel]):
+            shapes.append(A.shape)
+            return original(A, c, cfg)
+        monkeypatch.setattr(lp, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("shape, kernel", [
+    ((3, 2), "floats"), ((20, 2), "floats"),  # masked K4 estimator rounds
+    ((8, 3), "floats"), ((20, 3), "floats"),  # n = 30 estimator rounds
+    ((49, 2), "floats"),  # the exact-MLE attainable hull
+    ((100, 2), "floats"), ((40, 5), "floats"),
+    ((101, 2), "arrays"), ((10, 6), "arrays"),
+    ((3000, 20), "arrays"),  # a cube-corner row-generation round
+])
+def test_the_shape_alone_picks_the_membership_kernel(monkeypatch, shape, kernel):
+    seen = _spy_kernels(monkeypatch)
+    rng = np.random.default_rng(26)
+    rows = rng.standard_normal(shape)
+    solve(MembershipProgram(rows, rng.standard_normal(shape[1])))
+    solve(_membership_problem(rows, rng.standard_normal(shape[1])))
+    assert seen[kernel] == [shape, shape]
+    assert all(not shapes for other, shapes in seen.items() if other != kernel)
+
+
+def test_estimator_hull_queries_run_on_floats(monkeypatch):
+    seen = _spy_kernels(monkeypatch)
+    graph, mask = masked_k4_instance()
+    cfg = EstimatorConfig(r_target=75, s_test=25, safety_factor=0.7,
+                          max_outer_iterations=10, seed=3)
+    iterate_until_contained(StatDef.from_names(["edges", "triangles"]), graph, mask,
+                            np.zeros(2), cfg)
+    assert seen["floats"] and not seen["arrays"]
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_singular_basis_is_an_arithmetic_error_on_each_kernel(kernel):
+    # Rows 0 and 1 are equal.  Column 0 enters on row 0; then column 1's
+    # entry in row 1 reads b - 3 fl(b / 3), a rounding residue that passes
+    # the tiny pivot_tol, and the block on rows 0 and 1 is exactly singular.
+    b = 0.9
+    rows = np.array([[3.0, b], [3.0, b], [-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
+    config = SolverConfig(pivot_tol=1e-300)
+    with _forced(kernel), pytest.raises(ArithmeticError, match="simplex basis solve failed") as err:
+        solve(MembershipProgram(rows, np.array([1.0, 0.5])), config)
+    assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+
+# Exact pricing ties on rows of 0 and +-1, whose block solves are all
+# exact, so no rounding can decide them.  A kernel that let an equal
+# score replace the best, among structurals or slacks, fails both.
+EXACT_TIES = {
+    "unbounded": ([[1, -1, 1], [-1, -1, -1], [-1, -1, 0], [1, 0, 1]], [-1, 0, 1]),
+    "optimal": ([[0, 1, 1], [1, 0, 0], [1, 1, 0], [1, -1, 1], [-1, 1, 0], [0, -1, 0],
+                 [-1, 0, 1]], [-1, -1, 1]),
+}
+
+
+@pytest.mark.parametrize("rows, p", EXACT_TIES.values(), ids=EXACT_TIES.keys())
+def test_exact_ties_take_the_lowest_index_on_each_kernel(rows, p):
+    _assert_each_kernel_matches_general(
+        _membership_problem(np.array(rows, dtype=float), np.array(p, dtype=float)))
+
+
+def _integer_cloud(rng):
+    """A full-rank cloud of distinct small-integer rows and an integer
+    objective: data full of exact ties in pricing and ratio tests."""
+    while True:
+        d = int(rng.integers(2, 4))
+        rows = np.unique(rng.integers(-3, 4, (int(rng.integers(d, 31)), d)), axis=0)
+        p = rng.integers(-3, 4, d)
+        if p.any() and np.linalg.matrix_rank(rows) == d:
+            return rows.astype(float), p.astype(float)
+
+
+def test_kernels_agree_on_a_small_integer_tie_corpus():
+    # The kernels solve their blocks with different roundings, so an exact
+    # tie may break differently and end at another optimal vertex.  Both
+    # must still agree on the status and the optimal value, and return a
+    # feasible minimizer.  With x86 OpenBLAS, three of these 400 LPs take
+    # other pivots, one ending at another vertex.  Nudged off the
+    # integers, the same data has no exact ties, and the kernels agree
+    # pivot for pivot and bit for bit.
+    rng = np.random.default_rng(152)
+    statuses = set()
+    for _ in range(400):
+        rows, p = _integer_cloud(rng)
+        problem = MembershipProgram(rows, p)
+        with _forced("floats"):
+            ours = solve(problem)
+        with _forced("arrays"):
+            theirs = solve(problem)
+        statuses.add(ours.status)
+        assert ours.status is theirs.status
+        if ours.status is LpStatus.OPTIMAL:
+            assert ours.objective_value == pytest.approx(theirs.objective_value, rel=1e-12,
+                                                         abs=1e-12)
+            assert (rows @ ours.primal >= -1.0 - 1e-9).all()
+
+        nudged = rows + 1e-3 * rng.standard_normal(rows.shape)
+        _assert_each_kernel_matches_general(_membership_problem(nudged, p))
+    assert statuses == {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}
 
 
 # ---------------------------------------------------------------------------
@@ -441,22 +603,25 @@ def test_membership_program_sizes():
 
 def _assert_program_matches(points, p, config=None):
     """A MembershipProgram of points and p answers byte for byte as the
-    LinearProgram route and the general simplex do."""
+    LinearProgram route and the general simplex do, on each kernel."""
     program = MembershipProgram(points, p)
     problem = _membership_problem(points, p)
-    try:
-        theirs = _assert_same_as_general(problem, config)
-    except IterationLimitError as exc:
-        with pytest.raises(IterationLimitError) as ours:
-            solve(program, config)
-        assert ours.value.iterations == exc.iterations
-        return None
-    ours = solve(program, config)
-    assert ours.status is theirs.status
-    assert ours.iterations == theirs.iterations
-    assert _bytes(ours.primal) == _bytes(theirs.primal)
-    assert _bytes(ours.ray) == _bytes(theirs.ray)
-    assert repr(ours.objective_value) == repr(theirs.objective_value)
+    for kernel in KERNELS:
+        with _forced(kernel):
+            try:
+                theirs = _assert_same_as_general(problem, config)
+            except IterationLimitError as exc:
+                with pytest.raises(IterationLimitError) as ours:
+                    solve(program, config)
+                assert ours.value.iterations == exc.iterations
+                ours = None
+                continue
+            ours = solve(program, config)
+        assert ours.status is theirs.status
+        assert ours.iterations == theirs.iterations
+        assert _bytes(ours.primal) == _bytes(theirs.primal)
+        assert _bytes(ours.ray) == _bytes(theirs.ray)
+        assert repr(ours.objective_value) == repr(theirs.objective_value)
     return ours
 
 

@@ -17,6 +17,7 @@ RUNS = {
     "estimator-sweep-0": ["estimator_demo.py", "--sweep", "0"],
     "prune-tradeoff": ["prune_tradeoff.py", "--n-points", "2000", "--dim", "3",
                        "--n-tests", "3", "--fractions", "0.5", "1.0"],
+    "answer-digest": ["answer_digest.py", "--k4-seeds", "3", "--exact-ops", "2"],
 }
 
 
