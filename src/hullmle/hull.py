@@ -13,11 +13,14 @@ The production route answers each query with one free-variable LP:
 whose optimal value v gives gamma = -1/v, and whose minimizer z defines
 the supporting hyperplane 1 + x'z = 0 through the boundary point.
 Each LP is handed to lp.solve as a MembershipProgram, which holds only
-M and p; it runs the phase-two-only membership route, which starts from
-the feasible all-slack basis at z = 0 and gives the same answer, bit for
-bit, as the general simplex on the same LP.  The LP has
-one row per target point and only d columns, so when the target
-has more than ROW_GENERATION_FACTOR * d rows it is solved by exact row
+M and p.  One of at most 5 columns and 200 entries, the size of every
+estimator hull query, runs phase two only on a kernel of Python floats,
+from the feasible all-slack basis at z = 0; a larger one runs on the
+general simplex.  The two give the same answer bit for bit, except that
+an exact tie can break the other way on a last-bit difference in a
+block solve, and the float kernel can then end at another optimal
+vertex with the same objective (see lp).  The LP has one row per target
+point and only d columns, so when the target has more than ROW_GENERATION_FACTOR * d rows it is solved by exact row
 generation (Kelley's cutting planes): solve on a small active set of
 rows, check the minimizer against every row with one matrix-vector
 product, add the most violated rows and repeat.  That all-rows check is

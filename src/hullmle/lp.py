@@ -8,39 +8,36 @@ The solver accepts problems in the form
 
 and takes one of two routes, chosen from the problem alone.
 
-The membership route serves the LP of every hull query: minimize, every
-row >=, rhs identically -1, every bound infinite (min p'z subject to
-M z >= -1 with z free).  A MembershipProgram holds just M and p and
-always takes it; a LinearProgram of that shape takes it too.  Its
-all-slack basis is feasible at z = 0, so
-it runs phase two only, with no artificial columns; the free structural
-columns never leave the basis once they enter, and a leaving slack
-always stops at its upper bound 0.
-
-The route has two kernels, and the problem's shape alone picks one
-(_runs_on_floats): problems with at most 5 columns and 200 entries, the
-shape of every estimator hull query, choose their pivots in Python
-floats; larger ones in numpy, with the basis solves, products and tie
-breaks the general route performs on this shape.  Both follow the same
-pivot rules, and every number either returns (minimizer, objective,
-feasibility check, ray) comes from numpy on the final basis.  The numpy
-kernel therefore matches the general route bit for bit in solutions,
-iteration counts and rays.  The float kernel matches it too unless an
-exact tie meets a last-bit difference between its block solve and
-LAPACK's (which fuses multiply-adds): on 20,000 full-rank clouds of
-distinct small-integer rows (2-3 columns, up to 30 rows) 16 LPs took
-other pivots and 9 ended at another optimal vertex with the same
-objective, with no status or error differing; on Gaussian, sampled
-ERGM and column-scaled clouds, with their duplicates and near-ties,
-the two kernels agree bit for bit.
-
-The general route runs a two-phase bounded-variable revised simplex on
-anything else, including the dual and box-constrained cross-checks.
+The general route runs a two-phase bounded-variable revised simplex.
 Free variables are handled natively (a nonbasic variable sits at a
 bound or, if it has none, at zero), never by splitting into positive
 and negative parts.  Internally every row gets a slack variable whose
 bounds encode the row sense, plus an artificial variable when the
 initial slack basis is infeasible for that row.
+
+The float route serves the small LPs of the hull queries.  Their shape
+is the membership shape: minimize, every row >=, rhs identically -1,
+every bound infinite (min p'z subject to M z >= -1 with z free).  A
+MembershipProgram holds just M and p; a LinearProgram of that shape is
+treated alike.  When such a problem has at most 5 columns and 200
+entries (_runs_on_floats), the shape of every estimator hull query, a
+kernel on Python floats solves it.  Its all-slack basis is feasible at
+z = 0, so it runs phase two only, with no artificial columns; the free
+structural columns never leave the basis once they enter, and a
+leaving slack always stops at its upper bound 0.  Every other problem,
+a larger membership LP included, takes the general route.
+
+The float kernel follows the general route's pivot rules, and every
+number it returns (minimizer, objective, feasibility check, ray) comes
+from numpy on the final basis, through the expressions the general
+route uses there.  It therefore matches the general route bit for bit
+unless an exact tie meets a last-bit difference between its block
+solve and LAPACK's (which fuses multiply-adds): on 20,000 full-rank
+clouds of distinct small-integer rows (2-3 columns, up to 30 rows) 16
+LPs took other pivots and 9 ended at another optimal vertex with the
+same objective, with no status or error differing; on Gaussian,
+sampled ERGM and column-scaled clouds, with their duplicates and
+near-ties, the two routes agree bit for bit.
 
 On both routes slack and artificial columns are unit vectors, so a
 basis consists of unit columns plus at most n structural columns, and
@@ -142,8 +139,8 @@ class SolverConfig:
 class LinearProgram:
     """Validated dense LP instance.
 
-    constraint_senses holds one ConstraintSense per row; bounds may use
-    -inf / +inf.  Everything else must be finite.
+    constraint_senses holds one ConstraintSense per row; a lower bound
+    may be -inf and an upper bound +inf.  Everything else must be finite.
     """
 
     objective_sense: ObjectiveSense
@@ -174,6 +171,8 @@ class LinearProgram:
             raise ValueError("bound vectors must have one entry per column")
         if np.isnan(lo).any() or np.isnan(hi).any():
             raise ValueError("bounds may be infinite but not NaN")
+        if (lo == np.inf).any() or (hi == -np.inf).any():
+            raise ValueError("a lower bound may not be +inf, nor an upper bound -inf")
         if (lo > hi).any():
             raise ValueError("lower bound exceeds upper bound")
         object.__setattr__(self, "objective", obj)
@@ -572,154 +571,23 @@ def _is_membership_shape(problem: LinearProgram | MembershipProgram) -> bool:
 
 
 def _runs_on_floats(m: int, n: int) -> bool:
-    """True when an m x n membership LP is cheaper on _membership_floats
-    than on _membership_arrays.
+    """True when an m x n membership LP runs on _membership_floats
+    rather than on _Simplex.
 
-    Per pivot both kernels do O(m k) work on a k x k block, k <= n; numpy
-    adds a fixed cost of about 20 calls, Python floats a cost per entry.
-    Timed on Gaussian clouds (2-core x86, interleaved min of 5-7 runs of
-    30-60 problems), the float kernel took 0.45-0.6 of the numpy kernel's
-    time at m n <= 60, 0.55-0.85 at m n = 100-250 with n <= 5 (two runs
-    under load read 1.0-1.1), and broke even near m n = 400 at n = 2-3,
-    300 at n = 5 and 200-240 at n = 6-10.
-    The rule keeps a margin below break-even.  Every estimator LP (3-20 x
-    2 and 8-20 x 3 in the estimator loop, the 49 x 2 exact-MLE hull) runs
-    on floats and every cube-corner round (n = 20) on numpy.
+    Per pivot both do O(m k) work on a k x k block, k <= n; _Simplex
+    adds a fixed cost of a few dozen numpy calls, Python floats a cost
+    per entry.  Timed on Gaussian clouds (2-core x86, min of 5 runs of 40
+    problems), the float kernel took 0.2-0.35 of _Simplex's time up to
+    the rule's edge and just beyond it (up to m n = 300 with n <= 5),
+    0.43 at 40 x 6 and about the same at 100 x 10; on 160 x 20 and
+    500 x 10 uniform clouds it took 2.7 times as long.  The rule stays
+    where it was set against an earlier numpy membership kernel, because
+    it also fixes which problems can meet the float kernel's tie breaks:
+    moving it can change answers.  Every estimator LP (3-20 x 2 and 8-20
+    x 3 in the estimator loop, the 49 x 2 exact-MLE hull) runs on floats
+    and every cube-corner round (n = 20) on _Simplex.
     """
     return n <= 5 and m * n <= 200
-
-
-def _solve_membership(problem, cfg: SolverConfig) -> LpSolution:
-    """Phase two of _Simplex on a MembershipProgram or a membership-shaped
-    LinearProgram, whose rhs is -1 in every row.
-
-    The all-slack basis is feasible at z = 0.  Basic structurals are
-    free, so no ratio test blocks on them and they never leave; a basic
-    slack blocks only at its upper bound 0.  The basis is therefore the
-    basic structural columns over the rows whose slack has left, a k x k
-    block with k <= n.
-
-    The problem's shape alone picks one of two kernels (_runs_on_floats):
-    small problems pick their pivots in Python floats, larger ones in
-    numpy.  Both price with Dantzig's rule over [structurals | slacks of
-    covered rows], lowest index winning ties, switch permanently to
-    Bland's rule after DEGENERATE_SWITCH_FACTOR (m + n) degenerate
-    pivots, ratio-test with DEGENERATE_STEP and stop at the same pivot
-    budget.  Every number either returns comes from numpy on the final
-    basis, through the expressions _Simplex uses on this shape, so a
-    kernel that ends on the basis _Simplex ends on returns its solution
-    bit for bit.
-    """
-    A, c = problem.constraint_matrix, problem.objective
-    if _runs_on_floats(*A.shape):
-        return _membership_floats(A, c, cfg)
-    return _membership_arrays(A, c, cfg)
-
-
-def _membership_optimum(A, c, cfg: SolverConfig, s_cols, x_s, iterations) -> LpSolution:
-    """The optimal solution with basic structurals s_cols at x_s, checked
-    against every row; with rhs -1 each row allows feas_tol (1 + 1)."""
-    x = np.zeros(A.shape[1])
-    x[s_cols] = x_s
-    resid = -1.0 - A @ x
-    bad = resid > cfg.feas_tol * 2.0
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
-        raise ArithmeticError(
-            f"optimal basis violates row {i} by {resid[i]:.3e}; numerical trouble"
-        )
-    return LpSolution(LpStatus.OPTIMAL, x, float(c @ x), iterations)
-
-
-def _membership_ray(n: int, e: int, sigma: float, s_cols, w_s, iterations) -> LpSolution:
-    """The unbounded answer: entering column e moves by sigma and the
-    basic structurals by -sigma w_s."""
-    ray = np.zeros(n)
-    if e < n:
-        ray[e] = sigma
-    ray[s_cols] -= sigma * w_s
-    return LpSolution(LpStatus.UNBOUNDED, None, None, iterations, ray=ray)
-
-
-def _membership_arrays(A, c, cfg: SolverConfig) -> LpSolution:
-    """The membership kernel on numpy arrays.  Each pivot solves the
-    block three times (basic values, duals, entering column), forms one
-    A'y and ratio-tests the basic slacks.  The column block A[:, s_cols]
-    is gathered again only when a structural enters."""
-    m, n = A.shape
-    b = np.full(m, -1.0)
-    limit = cfg.iteration_limit
-    limit = ITERATION_LIMIT_FACTOR * (m + n) if limit is None else limit
-    tol = cfg.pivot_tol * (1.0 + np.abs(c).max())
-    basic = np.zeros(n, dtype=bool)  # basic structurals
-    covered = np.zeros(m, dtype=bool)  # rows whose slack left the basis
-    s_cols = np.zeros(0, dtype=np.int64)
-    a_cols = np.zeros((m, 0))
-    iterations, degenerate_run, bland = 0, 0, False
-    while True:
-        w_rows = np.flatnonzero(covered)
-        u_rows = np.flatnonzero(~covered)
-        y = np.zeros(m)
-        if s_cols.size:
-            block, a_u = a_cols[w_rows], a_cols[u_rows]
-            x_s = np.linalg.solve(block, b[w_rows])
-            slack_vals = b[u_rows] - a_u @ x_s
-            y[w_rows] = np.linalg.solve(block.T, c[s_cols])
-        else:
-            x_s, slack_vals = np.zeros(0), b[u_rows]
-        d = c - A.T @ y
-
-        # A nonbasic free structural scores |d|; a nonbasic slack sits at
-        # its upper bound and scores -y, which is 0 on basic slacks.
-        score = np.concatenate([np.where(basic, 0.0, np.abs(d)), -y])
-        eligible = score > tol
-        if not eligible.any():
-            break
-        if bland:
-            e = int(np.flatnonzero(eligible)[0])
-        else:
-            e = int(np.argmax(np.where(eligible, score, -np.inf)))
-        if e < n:
-            sigma = 1.0 if d[e] < 0.0 else -1.0
-            column = A[:, e]
-        else:
-            sigma = -1.0
-            column = np.zeros(m)
-            column[e - n] = 1.0
-        if s_cols.size:
-            w_s = np.linalg.solve(block, column[w_rows])
-            w_u = column[u_rows] - a_u @ w_s
-        else:
-            w_s, w_u = np.zeros(0), column[u_rows]
-
-        rates = -sigma * w_u
-        rising = rates > cfg.pivot_tol
-        with np.errstate(invalid="ignore"):
-            t = np.maximum(0.0, (0.0 - slack_vals[rising]) / rates[rising])
-        t_min = t.min() if t.size else np.inf
-        if not np.isfinite(t_min):
-            return _membership_ray(n, e, sigma, s_cols, w_s, iterations)
-        first = np.flatnonzero(t <= t_min + DEGENERATE_STEP)[0]
-
-        iterations += 1
-        if iterations > limit:
-            raise IterationLimitError(iterations)
-        if t[first] < DEGENERATE_STEP:
-            degenerate_run += 1
-            if degenerate_run > DEGENERATE_SWITCH_FACTOR * (m + n):
-                bland = True
-        else:
-            degenerate_run = 0
-
-        covered[u_rows[rising][first]] = True
-        if e < n:
-            basic[e] = True
-            s_cols = np.flatnonzero(basic)
-            a_cols = A[:, s_cols]
-        else:
-            covered[e - n] = False
-
-    return _membership_optimum(A, c, cfg, s_cols, x_s, iterations)
 
 
 def _factor(block: list) -> tuple[list, list]:
@@ -792,16 +660,28 @@ def _lu_solve_transposed(lu: list, order: list, v: list) -> list:
 
 
 def _membership_floats(A, c, cfg: SolverConfig) -> LpSolution:
-    """The membership kernel on Python floats, for small problems.
+    """Phase two of _Simplex on the membership LP min c'z subject to
+    A z >= -1 with z free, for small problems, on Python floats.
 
-    It walks the pivots of _membership_arrays on the columns of A as
-    lists: one LU factorization of the block per pivot serves the basic
-    values, the duals and the entering column, pricing visits the
-    nonbasic structurals and the covered rows' slacks, and the ratio test
-    the uncovered rows that rise.  These floats only choose pivots; the
-    answer is computed by numpy on the final basis.  They can differ from
-    LAPACK's in the last bits (its 2 x 2 solve fuses multiply-adds), so
-    an exact tie can break the other way; see the module docstring.
+    The all-slack basis is feasible at z = 0.  Basic structurals are
+    free, so no ratio test blocks on them and they never leave; a basic
+    slack blocks only at its upper bound 0.  The basis is therefore the
+    basic structural columns over the covered rows (those whose slack
+    has left), a k x k block with k <= n.
+
+    It walks _Simplex's pivots on the columns of A as lists: one LU
+    factorization of the block per pivot serves the basic values, the
+    duals and the entering column.  Pricing is Dantzig's rule over the
+    nonbasic structurals and the covered rows' slacks, lowest index
+    winning ties, switching permanently to Bland's rule after
+    DEGENERATE_SWITCH_FACTOR (m + n) degenerate pivots; the ratio test
+    visits the uncovered rows that rise, with DEGENERATE_STEP, and the
+    pivot budget is _Simplex's.  These floats only choose pivots; the
+    minimizer, the feasibility check, the objective and a ray come from
+    numpy on the final basis, through the expressions _Simplex uses on
+    this shape.  The floats can differ from LAPACK's in the last bits
+    (its 2 x 2 solve fuses multiply-adds), so an exact tie can break the
+    other way; see the module docstring.
     """
     m, n = A.shape
     cols = A.T.tolist()
@@ -874,9 +754,15 @@ def _membership_floats(A, c, cfg: SolverConfig) -> LpSolution:
         # numpy's min is NaN when any entry is; Python's need not be.
         t_min = min(ts, default=math.inf)
         if not math.isfinite(t_min) or any(map(math.isnan, ts)):
-            column = [cols[e][i] if e < n else float(i == e - n) for i in w_rows]
-            w_s = np.linalg.solve(np.array(block), np.array(column)) if k else np.zeros(0)
-            return _membership_ray(n, e, sigma, s_cols, w_s, iterations)
+            # The entering column moves by sigma, the basic structurals
+            # by -sigma w_s.
+            ray = np.zeros(n)
+            if e < n:
+                ray[e] = sigma
+            if k:
+                column = [cols[e][i] if e < n else float(i == e - n) for i in w_rows]
+                ray[s_cols] -= sigma * np.linalg.solve(np.array(block), np.array(column))
+            return LpSolution(LpStatus.UNBOUNDED, None, None, iterations, ray=ray)
         first, reach = 0, t_min + step
         while ts[first] > reach:
             first += 1
@@ -900,9 +786,33 @@ def _membership_floats(A, c, cfg: SolverConfig) -> LpSolution:
             covered[e - n] = False
             w_rows.remove(e - n)
 
-    # block holds A[w_rows][:, s_cols] exactly, as Python floats hold float64.
-    x_s = np.linalg.solve(np.array(block), np.full(k, -1.0)) if k else np.zeros(0)
-    return _membership_optimum(A, c, cfg, s_cols, x_s, iterations)
+    # block holds A[w_rows][:, s_cols] exactly, as Python floats hold
+    # float64.  With rhs -1 each row allows feas_tol (1 + 1).
+    x = np.zeros(n)
+    if k:
+        x[s_cols] = np.linalg.solve(np.array(block), np.full(k, -1.0))
+    resid = -1.0 - A @ x
+    bad = resid > cfg.feas_tol * 2.0
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ArithmeticError(
+            f"optimal basis violates row {i} by {resid[i]:.3e}; numerical trouble"
+        )
+    return LpSolution(LpStatus.OPTIMAL, x, float(c @ x), iterations)
+
+
+def _membership_linear_program(program: MembershipProgram) -> LinearProgram:
+    """program as the LinearProgram min p'z subject to M z >= -1, z free."""
+    r, d = program.constraint_matrix.shape
+    return LinearProgram(
+        objective_sense=ObjectiveSense.MINIMIZE,
+        objective=program.objective,
+        constraint_matrix=program.constraint_matrix,
+        constraint_senses=(ConstraintSense.GE,) * r,
+        rhs=np.full(r, -1.0),
+        lower_bounds=np.full(d, -np.inf),
+        upper_bounds=np.full(d, np.inf),
+    )
 
 
 def solve(
@@ -910,14 +820,14 @@ def solve(
 ) -> LpSolution:
     """Solve a dense LP; deterministic for identical inputs.
 
-    A MembershipProgram, and a LinearProgram of membership shape
+    A MembershipProgram, or a LinearProgram of membership shape
     (minimize, every row >=, rhs identically -1, every bound infinite),
-    take the phase-two-only membership route; any other problem takes
-    the general two-phase simplex.  On the membership shape the two
-    routes return bit-identical solutions except where an exact tie
-    breaks differently on the float kernel (see the module docstring),
-    so the route is an implementation detail, chosen from the problem
-    alone.
+    with at most 5 columns and 200 entries takes the phase-two-only
+    float kernel; any other problem takes the general two-phase simplex,
+    a larger MembershipProgram as its LinearProgram.  The two routes
+    return bit-identical solutions except where an exact tie breaks
+    differently on the float kernel (see the module docstring), so the
+    route is an implementation detail, chosen from the problem alone.
 
     Raises IterationLimitError when the pivot budget runs out, and
     ArithmeticError when the final basis fails its feasibility check or
@@ -928,8 +838,10 @@ def solve(
         raise TypeError("problem must be a LinearProgram or a MembershipProgram")
     cfg = config or SolverConfig()
     try:
-        if _is_membership_shape(problem):
-            return _solve_membership(problem, cfg)
+        if _runs_on_floats(problem.n_rows, problem.n_cols) and _is_membership_shape(problem):
+            return _membership_floats(problem.constraint_matrix, problem.objective, cfg)
+        if isinstance(problem, MembershipProgram):
+            problem = _membership_linear_program(problem)
         return _Simplex(problem, cfg).solve()
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"simplex basis solve failed: {exc}") from exc

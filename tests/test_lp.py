@@ -140,6 +140,24 @@ def test_variable_bounds_respected():
     assert sol.primal[0] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("sense", [ConstraintSense.GE, ConstraintSense.LE], ids=["ge", "le"])
+@pytest.mark.parametrize("bound", [np.inf, -np.inf], ids=["plus-inf", "minus-inf"])
+def test_a_column_bounded_at_infinity_is_rejected(bound, sense):
+    # x0 in [bound, bound] has no finite value.  The solver used to take
+    # it as free at 0: with bound +inf and the >= row it answered
+    # Optimal at x = (0, 2).
+    with pytest.raises(ValueError, match="lower bound may not be"):
+        LinearProgram(
+            objective=np.ones(2),
+            constraint_matrix=np.array([[1.0, 1.0]]),
+            constraint_senses=[sense],
+            rhs=np.array([2.0]),
+            lower_bounds=np.array([bound, 0.0]),
+            upper_bounds=np.array([bound, 5.0]),
+            objective_sense=ObjectiveSense.MINIMIZE,
+        )
+
+
 def _membership_problem(points, p):
     # min p'z subject to Mz >= -1, z free
     r, d = points.shape
@@ -297,23 +315,21 @@ def _assert_same_as_general(problem, config=None):
     return ours
 
 
-# Rules that force one membership kernel whatever the problem's shape.
-KERNELS = {"floats": lambda m, n: True, "arrays": lambda m, n: False}
+# Rules that force one route on a membership LP whatever its shape.
+ROUTES = {"floats": lambda m, n: True, "simplex": lambda m, n: False}
 
 
 @contextlib.contextmanager
-def _forced(kernel):
+def _forced(route):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lp, "_runs_on_floats", KERNELS[kernel])
+        patch.setattr(lp, "_runs_on_floats", ROUTES[route])
         yield
 
 
-def _assert_each_kernel_matches_general(problem, config=None):
-    """_assert_same_as_general with each membership kernel forced."""
-    for kernel in KERNELS:
-        with _forced(kernel):
-            ours = _assert_same_as_general(problem, config)
-    return ours
+def _assert_floats_match_general(problem, config=None):
+    """_assert_same_as_general with the float kernel forced."""
+    with _forced("floats"):
+        return _assert_same_as_general(problem, config)
 
 
 def _ergm_cloud(rng, n, duplicate):
@@ -334,7 +350,7 @@ def test_membership_route_matches_general_on_gaussian_clouds(seed):
     rng = np.random.default_rng(seed)
     r = int(rng.integers(1, 120))
     d = int(rng.integers(1, 7))
-    _assert_each_kernel_matches_general(
+    _assert_floats_match_general(
         _membership_problem(rng.standard_normal((r, d)), rng.standard_normal(d)))
 
 
@@ -352,7 +368,7 @@ def test_membership_route_matches_general_on_ergm_clouds(monkeypatch, bland_at_o
         for _ in range(4):
             p = rng.standard_normal(3) * spread * rng.uniform(0.2, 3.0)
             problem = _membership_problem(rows, p)
-            statuses.add(_assert_each_kernel_matches_general(problem).status)
+            statuses.add(_assert_floats_match_general(problem).status)
             general = lp._Simplex(problem, SolverConfig())
             general.solve()
             switched += general.bland
@@ -377,7 +393,7 @@ def test_bland_rule_matches_general_with_structurals_left_to_enter(monkeypatch, 
             p = rng.uniform(-1.0, 1.0, d)
             p[0] = 3.0
             problem = _membership_problem(rows, p)
-            _assert_each_kernel_matches_general(problem)
+            _assert_floats_match_general(problem)
             general = lp._Simplex(problem, SolverConfig())
             general.solve()
             switched += general.bland
@@ -392,7 +408,7 @@ def test_membership_route_matches_general_on_column_scales():
             m = int(rng.integers(d + 1, 400))
             rows = rng.standard_normal((m, d)) * rng.permutation(scales)
             p = rng.standard_normal(d) * scales * rng.uniform(0.1, 4.0)
-            _assert_each_kernel_matches_general(_membership_problem(rows, p))
+            _assert_floats_match_general(_membership_problem(rows, p))
 
 
 def test_membership_route_matches_general_unbounded_rays():
@@ -402,7 +418,7 @@ def test_membership_route_matches_general_unbounded_rays():
         for _ in range(6):
             rank, m = int(rng.integers(1, d)), int(rng.integers(2, 200))
             rows = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, d))
-            sol = _assert_each_kernel_matches_general(
+            sol = _assert_floats_match_general(
                 _membership_problem(rows, rng.standard_normal(d)))
             assert sol.status is LpStatus.UNBOUNDED
             assert (rows @ sol.ray >= -1e-9).all()
@@ -414,11 +430,10 @@ def test_membership_route_iteration_limit_matches_general():
     config = SolverConfig(iteration_limit=1)
     with pytest.raises(IterationLimitError) as theirs:
         _general(problem, config)
-    for kernel in KERNELS:
-        with _forced(kernel), pytest.raises(IterationLimitError) as ours:
-            solve(problem, config)
-        assert ours.value.iterations == theirs.value.iterations == 2
-    _assert_each_kernel_matches_general(
+    with _forced("floats"), pytest.raises(IterationLimitError) as ours:
+        solve(problem, config)
+    assert ours.value.iterations == theirs.value.iterations == 2
+    _assert_floats_match_general(
         problem, SolverConfig(iteration_limit=_general(problem).iterations))
 
 
@@ -437,92 +452,98 @@ OFF_SHAPE = {
 }
 
 
+def _spy_routes(monkeypatch):
+    """Record the shape of every problem the float kernel and the general
+    simplex solve."""
+    seen = {"floats": [], "simplex": []}
+    floats = lp._membership_floats
+
+    def spy(A, c, cfg):
+        seen["floats"].append(A.shape)
+        return floats(A, c, cfg)
+
+    class Simplex(lp._Simplex):
+        def __init__(self, problem, config):
+            seen["simplex"].append(problem.constraint_matrix.shape)
+            super().__init__(problem, config)
+
+    monkeypatch.setattr(lp, "_membership_floats", spy)
+    monkeypatch.setattr(lp, "_Simplex", Simplex)
+    return seen
+
+
 def test_membership_shape_takes_the_membership_route(monkeypatch):
-    calls = []
-    original = lp._solve_membership
-
-    def recording(problem, config):
-        calls.append(problem)
-        return original(problem, config)
-
-    monkeypatch.setattr(lp, "_solve_membership", recording)
-    problem = _shape_probe()
-    _assert_same_as_general(problem)
-    assert calls == [problem]
+    seen = _spy_routes(monkeypatch)
+    _assert_same_as_general(_shape_probe())
+    # solve ran the float kernel; the general simplex ran as the reference.
+    assert seen == {"floats": [(12, 3)], "simplex": [(12, 3)]}
 
 
 @pytest.mark.parametrize("kind", sorted(OFF_SHAPE))
 def test_off_shape_problems_take_the_general_route(monkeypatch, kind):
-    def refuse(problem, config):
-        raise AssertionError("membership route taken")
+    # With the size rule forced true, only the shape keeps these problems
+    # off the float kernel.
+    def refuse(A, c, cfg):
+        raise AssertionError("float kernel taken")
 
-    monkeypatch.setattr(lp, "_solve_membership", refuse)
+    monkeypatch.setattr(lp, "_membership_floats", refuse)
+    monkeypatch.setattr(lp, "_runs_on_floats", ROUTES["floats"])
     base = _shape_probe()
     problem = dataclasses.replace(base, **OFF_SHAPE[kind](base))
-    _assert_each_kernel_matches_general(problem)
+    _assert_same_as_general(problem)
     with pytest.raises(ValueError, match="membership primal"):
         dual_of_membership(problem)
 
 
 # ---------------------------------------------------------------------------
-# the two membership kernels
+# the float kernel and the general simplex
 
 
-def _spy_kernels(monkeypatch):
-    """Record the shape of every problem each membership kernel solves."""
-    seen = {"floats": [], "arrays": []}
-    for kernel, name in (("floats", "_membership_floats"), ("arrays", "_membership_arrays")):
-        def spy(A, c, cfg, original=getattr(lp, name), shapes=seen[kernel]):
-            shapes.append(A.shape)
-            return original(A, c, cfg)
-        monkeypatch.setattr(lp, name, spy)
-    return seen
-
-
-@pytest.mark.parametrize("shape, kernel", [
+@pytest.mark.parametrize("shape, route", [
     ((3, 2), "floats"), ((20, 2), "floats"),  # masked K4 estimator rounds
     ((8, 3), "floats"), ((20, 3), "floats"),  # n = 30 estimator rounds
     ((49, 2), "floats"),  # the exact-MLE attainable hull
     ((100, 2), "floats"), ((40, 5), "floats"),
-    ((101, 2), "arrays"), ((10, 6), "arrays"),
-    ((3000, 20), "arrays"),  # a cube-corner row-generation round
+    ((101, 2), "simplex"), ((10, 6), "simplex"),
+    ((3000, 20), "simplex"),  # a cube-corner row-generation round
+    ((66, 3), "floats"), ((67, 3), "simplex"), ((41, 5), "simplex"),  # the rule's edges
 ])
-def test_the_shape_alone_picks_the_membership_kernel(monkeypatch, shape, kernel):
-    seen = _spy_kernels(monkeypatch)
+def test_the_shape_alone_picks_the_membership_kernel(monkeypatch, shape, route):
+    seen = _spy_routes(monkeypatch)
     rng = np.random.default_rng(26)
     rows = rng.standard_normal(shape)
     solve(MembershipProgram(rows, rng.standard_normal(shape[1])))
     solve(_membership_problem(rows, rng.standard_normal(shape[1])))
-    assert seen[kernel] == [shape, shape]
-    assert all(not shapes for other, shapes in seen.items() if other != kernel)
+    assert seen[route] == [shape, shape]
+    assert all(not shapes for other, shapes in seen.items() if other != route)
 
 
 def test_estimator_hull_queries_run_on_floats(monkeypatch):
-    seen = _spy_kernels(monkeypatch)
+    seen = _spy_routes(monkeypatch)
     graph, mask = masked_k4_instance()
     cfg = EstimatorConfig(r_target=75, s_test=25, safety_factor=0.7,
                           max_outer_iterations=10, seed=3)
     iterate_until_contained(StatDef.from_names(["edges", "triangles"]), graph, mask,
                             np.zeros(2), cfg)
-    assert seen["floats"] and not seen["arrays"]
+    assert seen["floats"] and not seen["simplex"]
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNELS))
-def test_singular_basis_is_an_arithmetic_error_on_each_kernel(kernel):
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_singular_basis_is_an_arithmetic_error_on_each_kernel(route):
     # Rows 0 and 1 are equal.  Column 0 enters on row 0; then column 1's
     # entry in row 1 reads b - 3 fl(b / 3), a rounding residue that passes
     # the tiny pivot_tol, and the block on rows 0 and 1 is exactly singular.
     b = 0.9
     rows = np.array([[3.0, b], [3.0, b], [-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
     config = SolverConfig(pivot_tol=1e-300)
-    with _forced(kernel), pytest.raises(ArithmeticError, match="simplex basis solve failed") as err:
+    with _forced(route), pytest.raises(ArithmeticError, match="simplex basis solve failed") as err:
         solve(MembershipProgram(rows, np.array([1.0, 0.5])), config)
     assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 
 # Exact pricing ties on rows of 0 and +-1, whose block solves are all
-# exact, so no rounding can decide them.  A kernel that let an equal
-# score replace the best, among structurals or slacks, fails both.
+# exact, so no rounding can decide them.  A float kernel that let an
+# equal score replace the best, among structurals or slacks, fails both.
 EXACT_TIES = {
     "unbounded": ([[1, -1, 1], [-1, -1, -1], [-1, -1, 0], [1, 0, 1]], [-1, 0, 1]),
     "optimal": ([[0, 1, 1], [1, 0, 0], [1, 1, 0], [1, -1, 1], [-1, 1, 0], [0, -1, 0],
@@ -532,7 +553,7 @@ EXACT_TIES = {
 
 @pytest.mark.parametrize("rows, p", EXACT_TIES.values(), ids=EXACT_TIES.keys())
 def test_exact_ties_take_the_lowest_index_on_each_kernel(rows, p):
-    _assert_each_kernel_matches_general(
+    _assert_floats_match_general(
         _membership_problem(np.array(rows, dtype=float), np.array(p, dtype=float)))
 
 
@@ -548,13 +569,13 @@ def _integer_cloud(rng):
 
 
 def test_kernels_agree_on_a_small_integer_tie_corpus():
-    # The kernels solve their blocks with different roundings, so an exact
-    # tie may break differently and end at another optimal vertex.  Both
-    # must still agree on the status and the optimal value, and return a
-    # feasible minimizer.  With x86 OpenBLAS, three of these 400 LPs take
-    # other pivots, one ending at another vertex.  Nudged off the
-    # integers, the same data has no exact ties, and the kernels agree
-    # pivot for pivot and bit for bit.
+    # The float kernel and the general simplex solve their blocks with
+    # different roundings, so an exact tie may break differently and end
+    # at another optimal vertex.  Both must still agree on the status and
+    # the optimal value, and return a feasible minimizer.  With x86
+    # OpenBLAS, three of these 400 LPs take other pivots, one ending at
+    # another vertex.  Nudged off the integers, the same data has no
+    # exact ties, and the two agree pivot for pivot and bit for bit.
     rng = np.random.default_rng(152)
     statuses = set()
     for _ in range(400):
@@ -562,8 +583,7 @@ def test_kernels_agree_on_a_small_integer_tie_corpus():
         problem = MembershipProgram(rows, p)
         with _forced("floats"):
             ours = solve(problem)
-        with _forced("arrays"):
-            theirs = solve(problem)
+        theirs = _general(_membership_problem(rows, p))
         statuses.add(ours.status)
         assert ours.status is theirs.status
         if ours.status is LpStatus.OPTIMAL:
@@ -572,7 +592,7 @@ def test_kernels_agree_on_a_small_integer_tie_corpus():
             assert (rows @ ours.primal >= -1.0 - 1e-9).all()
 
         nudged = rows + 1e-3 * rng.standard_normal(rows.shape)
-        _assert_each_kernel_matches_general(_membership_problem(nudged, p))
+        _assert_floats_match_general(_membership_problem(nudged, p))
     assert statuses == {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}
 
 
@@ -603,11 +623,12 @@ def test_membership_program_sizes():
 
 def _assert_program_matches(points, p, config=None):
     """A MembershipProgram of points and p answers byte for byte as the
-    LinearProgram route and the general simplex do, on each kernel."""
+    LinearProgram route and the general simplex do, on the route its
+    shape picks and with the float kernel forced."""
     program = MembershipProgram(points, p)
     problem = _membership_problem(points, p)
-    for kernel in KERNELS:
-        with _forced(kernel):
+    for forced in (contextlib.nullcontext(), _forced("floats")):
+        with forced:
             try:
                 theirs = _assert_same_as_general(problem, config)
             except IterationLimitError as exc:
@@ -650,18 +671,10 @@ def test_membership_program_iteration_limit_matches():
 
 
 def test_membership_program_takes_the_membership_route(monkeypatch):
-    calls = []
-    original = lp._solve_membership
-
-    def recording(problem, config):
-        calls.append(problem)
-        return original(problem, config)
-
-    monkeypatch.setattr(lp, "_solve_membership", recording)
+    seen = _spy_routes(monkeypatch)
     rng = np.random.default_rng(24)
-    program = MembershipProgram(rng.standard_normal((12, 3)), rng.standard_normal(3))
-    solve(program)
-    assert calls == [program]
+    solve(MembershipProgram(rng.standard_normal((12, 3)), rng.standard_normal(3)))
+    assert seen == {"floats": [(12, 3)], "simplex": []}
 
 
 def test_membership_program_dual_matches_the_linear_program_dual():
