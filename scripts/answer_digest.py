@@ -32,6 +32,10 @@ bit for bit.  The answers depend on the BLAS kernel numpy runs, so
 compare digests of two trees on one machine, never against a stored
 value.
 
+A second line per section hashes only each answer's outcome kind (for
+K4 also the outer-iteration count of a trace), so a change that moves
+the last bits of answers can show that it left every outcome alone.
+
     PYTHONPATH=src python scripts/answer_digest.py --k4-seeds 1000 --exact-ops 600 \
         --hull-draws 20
 """
@@ -70,7 +74,7 @@ def _failure(exc: Exception) -> str:
 
 
 def k4_answers(seeds: int):
-    """(line, outcome) per master seed of the masked K4 estimator."""
+    """(line, outcome, kind line) per master seed of the masked K4 estimator."""
     graph = Graph.from_pairs(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
     observed = np.ones(10, dtype=bool)
     observed[[0, 1]] = False
@@ -83,20 +87,22 @@ def k4_answers(seeds: int):
         except ValueError as exc:
             if "rank-deficient" not in str(exc):
                 raise
-            yield f"{seed} {_failure(exc)}", "rank"
+            yield f"{seed} {_failure(exc)}", "rank", f"{seed} rank"
             continue
         except OptimizationError as exc:
-            yield f"{seed} {_failure(exc)}", "optimization"
+            yield f"{seed} {_failure(exc)}", "optimization", f"{seed} optimization"
             continue
         records = " ".join(
             f"{_hex(r.theta)}/{_hex(r.multiplier)}/{r.variance_condition_ok}"
             for r in trace.iterations)
         outcome = "converged" if trace.converged else "not-converged"
-        yield f"{seed} {outcome} {records} -> {_hex(trace.final_theta)}", outcome
+        yield (f"{seed} {outcome} {records} -> {_hex(trace.final_theta)}", outcome,
+               f"{seed} {outcome} {len(trace.iterations)}")
 
 
 def exact_answers(seed: int, ops: int):
-    """(line, outcome) per op of exact_mle on the exact-mle workload's graphs."""
+    """(line, outcome, kind line) per op of exact_mle on the exact-mle
+    workload's graphs."""
     n, m = 6, 15
     for i in range(ops):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, i)))
@@ -109,12 +115,12 @@ def exact_answers(seed: int, ops: int):
         try:
             theta = exact_mle(EDGES_TRIANGLES, graph, mask)
         except NonexistentMle as exc:
-            yield f"{i} {_failure(exc)}", "nonexistent"
+            yield f"{i} {_failure(exc)}", "nonexistent", f"{i} nonexistent"
             continue
         except OptimizationError as exc:
-            yield f"{i} {_failure(exc)}", "optimization"
+            yield f"{i} {_failure(exc)}", "optimization", f"{i} optimization"
             continue
-        yield f"{i} answered {_hex(theta)}", "answered"
+        yield f"{i} answered {_hex(theta)}", "answered", f"{i} answered"
 
 
 # (rows, columns, test points) per hull target kind; the cube cloud,
@@ -123,7 +129,7 @@ HULL_TARGETS = ((500, 3, 16), (250, 3, 16), (1000, 10, 16), (2500, 20, 0))
 
 
 def hull_answers(seed: int, draws: int):
-    """(line, outcome) per hull.query on the HULL_TARGETS kinds."""
+    """(line, outcome, kind line) per hull.query on the HULL_TARGETS kinds."""
     for kind, (rows, cols, points) in enumerate(HULL_TARGETS):
         for draw in range(draws):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(kind, draw)))
@@ -139,15 +145,17 @@ def hull_answers(seed: int, draws: int):
                 minimizer = "none" if verdict.minimizer is None else _hex(verdict.minimizer)
                 status = verdict.status.value
                 yield (f"{kind} {draw} {j} {status} {_hex(verdict.gamma)} {minimizer}",
-                       status)
+                       status, f"{kind} {draw} {j} {status}")
 
 
-def digest(answers) -> tuple[str, Counter]:
-    sha, counts = hashlib.sha256(), Counter()
-    for line, outcome in answers:
+def digest(answers) -> tuple[str, str, Counter]:
+    """SHA-256 of the answer lines and of the kind lines, and the outcome counts."""
+    sha, kinds, counts = hashlib.sha256(), hashlib.sha256(), Counter()
+    for line, outcome, kind_line in answers:
         sha.update(line.encode() + b"\n")
+        kinds.update(kind_line.encode() + b"\n")
         counts[outcome] += 1
-    return sha.hexdigest(), counts
+    return sha.hexdigest(), kinds.hexdigest(), counts
 
 
 def main():
@@ -171,9 +179,11 @@ def main():
         (f"hull seed {args.hull_seed} draws 0-{args.hull_draws - 1}",
          hull_answers(args.hull_seed, args.hull_draws)),
     ):
-        sha, counts = digest(answers)
+        sha, kinds, counts = digest(answers)
         tally = "  ".join(f"{kind} {count}" for kind, count in sorted(counts.items()))
         print(f"{label}: sha256 {sha}  {tally}", flush=True)
+        coarse = "kinds and iteration counts" if label.startswith("k4") else "kinds"
+        print(f"{label}: {coarse} sha256 {kinds}", flush=True)
 
 
 if __name__ == "__main__":

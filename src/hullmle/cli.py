@@ -168,8 +168,8 @@ def read_graph(path: str) -> Graph:
         n = int(header)
     except ValueError:
         raise CliError(EXIT_DATA, f"{path}: line {number}: vertex count expected, found {header!r}")
-    if n < 1:
-        raise CliError(EXIT_DATA, f"{path}: line {number}: vertex count must be positive")
+    if n < 2:
+        raise CliError(EXIT_DATA, f"{path}: line {number}: vertex count must be at least 2")
     pairs = []
     seen = set()
     for number, line in lines[1:]:

@@ -15,6 +15,7 @@ means and covariances, with the same Newton ascent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +27,8 @@ from .expfam import (
     ObservationMask,
     StatDef,
     exact_moments,
-    loglik_ratio_derivatives,
-    # Unused here since the step takes both derivatives at once, but
-    # perfbench/tracer.py still wraps this name in this module.
+    # Neither is called here since the step runs numerics.tilted_moments,
+    # but perfbench/tracer.py still wraps both names in this module.
     loglik_ratio_grad,
     loglik_ratio_hat,
     mcmc_sample,
@@ -133,18 +133,13 @@ MOVE_RESOLUTION = 4.0 * np.finfo(np.float64).eps
 def _ascend(evaluate, x0, gradient_tol, max_iterations, bound=np.inf):
     """Newton ascent with a backtracking line search.
 
-    evaluate(x) returns the value at x and a function of no arguments
-    that returns the gradient and Hessian there.  The ascent calls that
-    function only at the start point, at each iterate it accepts and at
-    the full-step fallback, so a rejected line-search candidate costs
-    one value.  The Newton direction falls back to the gradient where it
-    is not an ascent direction.  A step to an iterate whose largest
-    entry exceeds bound raises NonexistentMle, whatever the gradient
-    there.
+    evaluate(x) returns the value, gradient and Hessian at x, from one
+    pass.  The Newton direction falls back to the gradient where it is
+    not an ascent direction.  A step to an iterate whose largest entry
+    exceeds bound raises NonexistentMle, whatever the gradient there.
     """
     x = np.array(x0, dtype=float)
-    value, derivatives = evaluate(x)
-    gradient, hessian = derivatives()
+    value, gradient, hessian = evaluate(x)
     for _ in range(max_iterations):
         gnorm = float(np.abs(gradient).max())
         if gnorm <= gradient_tol:
@@ -167,20 +162,19 @@ def _ascend(evaluate, x0, gradient_tol, max_iterations, bound=np.inf):
         floor = MOVE_RESOLUTION * max(1.0, float(np.abs(x).max()))
         while step >= 1e-14 and step * reach > floor:
             candidate = x + step * direction
-            candidate_value, derivatives = evaluate(candidate)
-            if candidate_value >= value + 1e-4 * step * slope:
-                gradient, hessian = derivatives()
+            moved = evaluate(candidate)
+            if moved[0] >= value + 1e-4 * step * slope:
                 break
             step *= 0.5
         else:
             candidate = x + direction
-            candidate_value, derivatives = evaluate(candidate)
-            gradient, hessian = derivatives()
-            if not float(np.abs(gradient).max()) < gnorm:
+            moved = evaluate(candidate)
+            if not float(np.abs(moved[1]).max()) < gnorm:
                 raise OptimizationError(
                     "likelihood line search failed", last_iterate=x, gradient_norm=gnorm
                 )
-        x, value = candidate, candidate_value
+        x = candidate
+        value, gradient, hessian = moved
         if float(np.abs(x).max()) > bound:
             raise NonexistentMle(
                 "likelihood ascent diverges; no finite maximizer exists"
@@ -199,20 +193,36 @@ def rescaled_step(theta0, g_y, g_z, scale: float, cfg: EstimatorConfig) -> np.nd
     Maximizes the sampled likelihood ratio with the centered test rows
     multiplied by safety_factor * scale, starting from no change, and
     returns the updated parameter.  Inputs must already be centered by
-    the target-sample column mean.  The ascent is exact_mle's: every
-    candidate takes its value from loglik_ratio_hat, and only the points
-    the ascent moves to take a gradient and Hessian, from
-    loglik_ratio_derivatives.  The shrunk test rows lie inside the
-    target hull, so the surface has a maximizer.
+    the target-sample column mean.  The shrunk test rows lie inside the
+    target hull, so the surface has a maximizer.  The surface is
+    loglik_ratio_hat's, evaluated as exact_mle's is: each sample becomes
+    a histogram once, and each evaluation takes the difference of two
+    numerics.tilted_moments, each log-sum less the log of its sample size.
     """
     theta = numerics.as_vector(theta0, "theta0")
     effective = cfg.safety_factor * scale
+    if not (math.isfinite(effective) and effective > 0.0):
+        raise ValueError("scale must be finite and positive")
+    y_rows, y_counts = _sample_histogram(g_y, 1.0, theta.size)
+    z_rows, z_counts = _sample_histogram(g_z, effective, theta.size)
+    log_r, log_s = math.log(y_counts.sum()), math.log(z_counts.sum())
 
     def evaluate(dt):
-        return (loglik_ratio_hat(dt, g_y, g_z, effective),
-                lambda: loglik_ratio_derivatives(dt, g_y, g_z, effective))
+        lk_z, mean_z, cov_z = numerics.tilted_moments(z_rows, z_counts, dt)
+        lk_y, mean_y, cov_y = numerics.tilted_moments(y_rows, y_counts, dt)
+        return (lk_z - log_s) - (lk_y - log_r), mean_z - mean_y, cov_z - cov_y
 
     return theta + _ascend(evaluate, np.zeros(theta.size), GRADIENT_TOL, MAX_ITERATIONS)
+
+
+def _sample_histogram(rows, factor: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The checked sample rows times factor, as distinct rows in order of
+    first appearance and the count of each as float64."""
+    rows = factor * numerics.as_matrix(rows, "sample rows")
+    if rows.shape[1] != dim:
+        raise ValueError("sample rows and theta0 disagree on dimension")
+    first, inverse = numerics.distinct_rows(rows)
+    return rows[first], np.bincount(inverse).astype(np.float64)
 
 
 def _variance_condition(y_rows: np.ndarray, z_rows: np.ndarray) -> bool | None:
@@ -323,8 +333,8 @@ def exact_mle(
     the difference of constrained and unconstrained means and existence
     is detected by divergence of the ascent instead.
     """
-    if not gradient_tol > 0.0:
-        raise ValueError(f"gradient_tol must be positive, got {gradient_tol!r}")
+    if not (gradient_tol > 0.0 and math.isfinite(gradient_tol)):
+        raise ValueError(f"gradient_tol must be finite and positive, got {gradient_tol!r}")
     numerics.check_count("max_iterations", max_iterations, 1)
     mask = _estimation_mask(y_obs, mask)
     if mask.observed_dyads.all():
@@ -337,11 +347,9 @@ def exact_mle(
             )
 
     def evaluate(theta):
-        # exact_moments yields all three at once; the derivatives are
-        # handed over, not recomputed.
         lk_con, mean_con, cov_con = exact_moments(stats, theta, y_obs.n, mask)
         lk_full, mean_full, cov_full = exact_moments(stats, theta, y_obs.n, None)
-        return lk_con - lk_full, lambda: (mean_con - mean_full, cov_con - cov_full)
+        return lk_con - lk_full, mean_con - mean_full, cov_con - cov_full
 
     return _ascend(evaluate, np.zeros(stats.dim), gradient_tol, max_iterations,
                    bound=DIVERGENCE_BOUND)

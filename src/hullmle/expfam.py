@@ -16,9 +16,10 @@ graphs share each.  One enumeration builds it, a small memo keeps the
 last few spaces, and exact moments are sums over its few rows.
 
 Log-likelihood ratios between two parameter values are estimated from
-samples by the difference of two log-mean-exp terms, optionally with a
-scaling factor applied to the (centered) constrained rows; that factor
-is how the hull machinery's minimum scaling factor enters estimation.
+samples by the difference of two log-mean-exp terms, the exact kernel
+numerics.tilted_moments with unit weights, optionally with a scaling
+factor applied to the (centered) constrained rows; that factor is how
+the hull machinery's minimum scaling factor enters estimation.
 """
 
 from __future__ import annotations
@@ -380,24 +381,14 @@ def exact_moments(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Log normalizer, mean, and covariance of g by exact enumeration.
 
-    Sums over the rows of statistic_histogram, each weighted by its
-    graph count, with the exponent shifted by its maximum so the result
-    is overflow-safe at any theta; the covariance is summed about the
-    mean.  Repeated calls on one space reuse the memoized histogram.
+    numerics.tilted_moments over the rows of statistic_histogram, each
+    weighted by its graph count.  Repeated calls on one space reuse the
+    memoized histogram.
     """
     th = numerics.as_vector(theta, "theta")
     if th.size != stats.dim:
         raise ValueError(f"theta has {th.size} entries, statistics have {stats.dim}")
-
-    rows, counts = statistic_histogram(stats, n, mask)
-    x = rows @ th
-    shift = float(x.max())
-    w = counts * np.exp(x - shift)
-    total = float(w.sum())
-    mean = (w @ rows) / total
-    dev = rows - mean
-    cov = (dev.T * w) @ dev / total
-    return shift + math.log(total), mean, cov
+    return numerics.tilted_moments(*statistic_histogram(stats, n, mask), th)
 
 
 def exact_log_kappa(
@@ -687,14 +678,10 @@ def mcmc_sample(
     return StatMatrix(rows=rows, graphs=graphs)
 
 
-def _log_mean_exp(x: np.ndarray) -> float:
-    if x.size == 0:
-        raise ValueError("empty sample")
-    top = float(x.max())
-    return top + math.log(float(np.mean(np.exp(x - top))))
-
-
-def _ratio_args(dtheta, g_y, g_z, scale):
+def _ratio_moments(dtheta, g_y, g_z, scale):
+    """(loglik_ratio_hat, gradient, Hessian) at dtheta: per sample, the
+    log-sum of numerics.tilted_moments with unit weights less the log
+    of its row count is its log-mean-exp."""
     dt = numerics.as_vector(dtheta, "dtheta")
     ys = _rows_of(g_y)
     zs = _rows_of(g_z)
@@ -702,13 +689,10 @@ def _ratio_args(dtheta, g_y, g_z, scale):
         raise ValueError("sample rows and dtheta disagree on dimension")
     if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError("scale must be finite and positive")
-    return dt, ys, zs
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    w = np.exp(x - x.max())
-    w /= w.sum()
-    return w
+    lk_z, mean_z, cov_z = numerics.tilted_moments(scale * zs, np.ones(zs.shape[0]), dt)
+    lk_y, mean_y, cov_y = numerics.tilted_moments(ys, np.ones(ys.shape[0]), dt)
+    value = (lk_z - math.log(zs.shape[0])) - (lk_y - math.log(ys.shape[0]))
+    return value, mean_z - mean_y, cov_z - cov_y
 
 
 def loglik_ratio_hat(dtheta, g_y, g_z, scale: float = 1.0) -> float:
@@ -720,38 +704,24 @@ def loglik_ratio_hat(dtheta, g_y, g_z, scale: float = 1.0) -> float:
     shrinks the test sample toward the target centroid when both inputs
     are centered by the unconstrained column mean.
     """
-    dt, ys, zs = _ratio_args(dtheta, g_y, g_z, scale)
-    return _log_mean_exp(scale * (zs @ dt)) - _log_mean_exp(ys @ dt)
-
-
-def _soft_moments(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of rows under the weights softmax(x)."""
-    w = _softmax(x)
-    mean = w @ rows
-    centered = rows - mean
-    return mean, (w[:, None] * centered).T @ centered
+    return _ratio_moments(dtheta, g_y, g_z, scale)[0]
 
 
 def loglik_ratio_derivatives(dtheta, g_y, g_z, scale: float = 1.0):
-    """Gradient and Hessian of loglik_ratio_hat in dtheta, from one
-    softmax per sample: differences of softmax-weighted row means and
-    covariances, the constrained side carrying scale both as row
-    multiplier and weight temperature (so its covariance is times
-    scale**2)."""
-    dt, ys, zs = _ratio_args(dtheta, g_y, g_z, scale)
-    mean_z, cov_z = _soft_moments(zs, scale * (zs @ dt))
-    mean_y, cov_y = _soft_moments(ys, ys @ dt)
-    return scale * mean_z - mean_y, scale * scale * cov_z - cov_y
+    """Gradient and Hessian of loglik_ratio_hat in dtheta: differences
+    of the two samples' tilted means and covariances, the constrained
+    rows multiplied by scale first."""
+    return _ratio_moments(dtheta, g_y, g_z, scale)[1:]
 
 
 def loglik_ratio_grad(dtheta, g_y, g_z, scale: float = 1.0) -> np.ndarray:
     """Gradient of loglik_ratio_hat in dtheta; see loglik_ratio_derivatives."""
-    return loglik_ratio_derivatives(dtheta, g_y, g_z, scale)[0]
+    return _ratio_moments(dtheta, g_y, g_z, scale)[1]
 
 
 def loglik_ratio_hess(dtheta, g_y, g_z, scale: float = 1.0) -> np.ndarray:
     """Hessian of loglik_ratio_hat in dtheta; see loglik_ratio_derivatives."""
-    return loglik_ratio_derivatives(dtheta, g_y, g_z, scale)[1]
+    return _ratio_moments(dtheta, g_y, g_z, scale)[2]
 
 
 def demonstrate_unbounded(g_y, g_z, direction, alphas) -> list[float]:

@@ -2,8 +2,8 @@
 
 Conventions used throughout the package: a point set is a 2-D float64
 array with one point per row, a vector is a 1-D float64 array.  All
-public functions validate their inputs and raise ValueError on NaN or
-infinite entries.
+public functions but the likelihood kernel tilted_moments validate
+their inputs and raise ValueError on NaN or infinite entries.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "covariance",
     "distinct_rows",
     "rank",
+    "tilted_moments",
 ]
 
 # Relative threshold below which a singular value counts as zero.
@@ -131,3 +132,23 @@ def rank(points) -> int:
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     return int(np.count_nonzero(sigma > RANK_TOL * sigma[0]))
+
+
+def tilted_moments(rows: np.ndarray, weights: np.ndarray,
+                   theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """log sum_i w_i exp(rows_i' theta), and the mean and covariance of
+    the rows under the weights w_i exp(rows_i' theta).
+
+    The exponent is shifted by its maximum, so the result is
+    overflow-safe at any theta; the covariance is summed about the mean.
+    Unchecked: callers pass finite float arrays of matching shapes and
+    positive weights, once checked, since this runs at every evaluation.
+    """
+    x = rows @ theta
+    shift = float(x.max())
+    w = weights * np.exp(x - shift)
+    total = float(w.sum())
+    mean = (w @ rows) / total
+    dev = rows - mean
+    cov = (dev.T * w) @ dev / total
+    return shift + math.log(total), mean, cov

@@ -496,6 +496,11 @@ def test_graph_file_errors(tmp_path, capsys):
     code, _, err = run(capsys, "estimate", str(bad))
     assert code == 65 and "bad edge" in err
 
+    # A graph needs two vertices; the library's own message named no file.
+    bad.write_text("1\n")
+    code, _, err = run(capsys, "estimate", str(bad))
+    assert code == 65 and f"{bad}: line 1: vertex count must be at least 2" in err
+
     bad.write_text("4\n1 2\n2 1\n")
     code, _, err = run(capsys, "estimate", str(bad))
     assert code == 65 and "duplicate edge" in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence
 
-from hullmle import estimate
+from hullmle import estimate, numerics
 from hullmle.batch import make_test_set, min_scale
 from hullmle.estimate import (
     EstimatorConfig,
@@ -23,6 +23,7 @@ from hullmle.expfam import (
     exact_moments,
     loglik_ratio_grad,
     loglik_ratio_hat,
+    loglik_ratio_hess,
     mcmc_sample,
     statistics,
 )
@@ -116,6 +117,7 @@ def test_masked_mle_converges_where_the_likelihood_is_level():
     ("gradient_tol", math.nan),
     ("gradient_tol", 0.0),
     ("gradient_tol", -1e-8),
+    ("gradient_tol", math.inf),
     ("max_iterations", 0),
     ("max_iterations", 2.5),
     ("max_iterations", True),
@@ -256,41 +258,41 @@ def test_iterate_is_deterministic():
 # target; seed 47's last step shrinks its test rows onto a Boundary row.
 K4_TRACES = {
     0: ([("0x0.0p+0", "0x0.0p+0", "0x1.5df984dc5abbdp-1"),
-         ("-0x1.a30b074b39458p-1", "0x1.32eb7b53cf132p+0", "0x1.5745d1745d174p+0")],
-        ("-0x1.a30b074b39458p-1", "0x1.32eb7b53cf132p+0")),
+         ("-0x1.a30b074b3944dp-1", "0x1.32eb7b53cf12cp+0", "0x1.5745d1745d174p+0")],
+        ("-0x1.a30b074b3944dp-1", "0x1.32eb7b53cf12cp+0")),
     1: ([("0x0.0p+0", "0x0.0p+0", "0x1.2a9272a9272a9p+0")],
         ("0x0.0p+0", "0x0.0p+0")),
     2: ([("0x0.0p+0", "0x0.0p+0", "0x1.ffffffffffffep-1"),
-         ("-0x1.54aab43ad374ap-1", "0x1.ee9f1c876b447p-1", "0x1.4234f72c234f7p+0")],
-        ("-0x1.54aab43ad374ap-1", "0x1.ee9f1c876b447p-1")),
+         ("-0x1.54aab43ad3735p-1", "0x1.ee9f1c876b434p-1", "0x1.4234f72c234f7p+0")],
+        ("-0x1.54aab43ad3735p-1", "0x1.ee9f1c876b434p-1")),
     3: ([("0x0.0p+0", "0x0.0p+0", "0x1.77585ebf5114fp-1"),
-         ("-0x1.7883f2198b675p-1", "0x1.7b143c68db73ap+0", "0x1.0000000000001p+0"),
-         ("-0x1.8579f64f0d6edp-1", "0x1.3cb047780ae35p+0", "0x1.cc415c9882b94p+0")],
-        ("-0x1.8579f64f0d6edp-1", "0x1.3cb047780ae35p+0")),
+         ("-0x1.7883f2198b680p-1", "0x1.7b143c68db740p+0", "0x1.0000000000001p+0"),
+         ("-0x1.8579f64f0d6f4p-1", "0x1.3cb047780ae39p+0", "0x1.cc415c9882b94p+0")],
+        ("-0x1.8579f64f0d6f4p-1", "0x1.3cb047780ae39p+0")),
     4: ([("0x0.0p+0", "0x0.0p+0", "0x1.58dc9f56a21fep-1"),
-         ("-0x1.d817f7904b047p-1", "0x1.9958a8776e351p+0", "0x1.0000000000000p+0"),
-         ("0x1.45452cd349ce0p-6", "0x1.74399977e1fabp-1", "0x1.0000000000000p+0"),
-         ("-0x1.99f7e6f645500p+0", "0x1.8539fa0f3c361p+0", "0x1.ffffffffffffep-1"),
-         ("-0x1.394ef82ed41e0p+0", "0x1.5279cc3b922c0p+0", "0x1.1ec4ec4ec4ec5p+0")],
-        ("-0x1.394ef82ed41e0p+0", "0x1.5279cc3b922c0p+0")),
+         ("-0x1.d817f7904b03fp-1", "0x1.9958a8776e34cp+0", "0x1.0000000000000p+0"),
+         ("0x1.45452f2daafc0p-6", "0x1.7439996663619p-1", "0x1.0000000000000p+0"),
+         ("-0x1.99f7e6ecdbcb3p+0", "0x1.8539fa067ce96p+0", "0x1.ffffffffffffep-1"),
+         ("-0x1.394ef8256a994p+0", "0x1.5279cc32d2df6p+0", "0x1.1ec4ec4ec4ec5p+0")],
+        ("-0x1.394ef8256a994p+0", "0x1.5279cc32d2df6p+0")),
     5: ([("0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"),
-         ("-0x1.540d883833acdp-1", "0x1.061ea046decdbp+0", "0x1.0000000000000p+0"),
-         ("-0x1.5a33bbf4b79a4p-3", "0x1.7043f265fa3e3p-1", "0x1.9ead7cd391fbep+0")],
-        ("-0x1.5a33bbf4b79a4p-3", "0x1.7043f265fa3e3p-1")),
+         ("-0x1.540d883833adbp-1", "0x1.061ea046dece1p+0", "0x1.0000000000000p+0"),
+         ("-0x1.5a33bbf4b79aap-3", "0x1.7043f265fa3e7p-1", "0x1.9ead7cd391fbep+0")],
+        ("-0x1.5a33bbf4b79aap-3", "0x1.7043f265fa3e7p-1")),
     7: ([("0x0.0p+0", "0x0.0p+0", "0x1.32bfb7d2e3ce7p+0")],
         ("0x0.0p+0", "0x0.0p+0")),
     8: ([("0x0.0p+0", "0x0.0p+0", "0x1.0000000000001p+0"),
-         ("-0x1.338c6be51d426p+0", "0x1.415985d98945dp+0", "0x1.1745d1745d175p+0"),
-         ("-0x1.15d7f7af4519cp+0", "0x1.4f1dd512f62e2p+0", "0x1.ffffffffffffep-1"),
-         ("-0x1.79bc880faf900p-1", "0x1.0ed6e060cc7e0p+0", "0x1.5812c9fb4d811p+0")],
-        ("-0x1.79bc880faf900p-1", "0x1.0ed6e060cc7e0p+0")),
+         ("-0x1.338c6be51d433p+0", "0x1.415985d989467p+0", "0x1.1745d1745d175p+0"),
+         ("-0x1.15d7f7af451aap+0", "0x1.4f1dd512f62edp+0", "0x1.ffffffffffffep-1"),
+         ("-0x1.79bc880faf91ap-1", "0x1.0ed6e060cc7eap+0", "0x1.5812c9fb4d811p+0")],
+        ("-0x1.79bc880faf91ap-1", "0x1.0ed6e060cc7eap+0")),
     9: ([("0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"),
-         ("-0x1.3bf2e14c126aap-1", "0x1.0c106b7dd23b9p+0", "0x1.5555555555555p+0")],
-        ("-0x1.3bf2e14c126aap-1", "0x1.0c106b7dd23b9p+0")),
+         ("-0x1.3bf2e14c126acp-1", "0x1.0c106b7dd23bap+0", "0x1.5555555555555p+0")],
+        ("-0x1.3bf2e14c126acp-1", "0x1.0c106b7dd23bap+0")),
     47: ([("0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"),
-          ("-0x1.5f5485c12e4bep-1", "0x1.8599d0160b8dfp+0", "0x1.0000000000002p+0"),
-          ("-0x1.1f518110358e6p-1", "0x1.23b765ec35f24p+0", "0x1.4b00000000001p+0")],
-         ("-0x1.1f518110358e6p-1", "0x1.23b765ec35f24p+0")),
+          ("-0x1.5f5485c12e4cdp-1", "0x1.8599d0160b8e7p+0", "0x1.0000000000002p+0"),
+          ("-0x1.1f518110358c4p-1", "0x1.23b765ec35f1dp+0", "0x1.4b00000000001p+0")],
+         ("-0x1.1f518110358c4p-1", "0x1.23b765ec35f1dp+0")),
 }
 # Master seeds whose inner step, with an absolute gradient test below what
 # the sampled value resolves, once ran to its iteration limit.
@@ -336,27 +338,27 @@ def test_formerly_stalled_inner_ascents_converge(monkeypatch):
         if seed == 47:
             last = steps[-1]
 
-    evaluations = []
-    original_value = estimate.loglik_ratio_hat
+    calls = []
+    original_moments = numerics.tilted_moments
 
-    def counting_value(*args):
-        evaluations.append(None)
-        return original_value(*args)
+    def counting_moments(*args):
+        calls.append(None)
+        return original_moments(*args)
 
-    monkeypatch.setattr(estimate, "loglik_ratio_hat", counting_value)
+    monkeypatch.setattr(numerics, "tilted_moments", counting_moments)
     theta, g_y, g_z, scale, cfg = last
     dtheta = original_step(*last) - theta
+    monkeypatch.undo()
     gradient = loglik_ratio_grad(dtheta, g_y, g_z, cfg.safety_factor * scale)
     assert np.abs(gradient).max() <= 1e-8
-    # Every candidate's value goes through estimate.loglik_ratio_hat.
-    assert 0 < len(evaluations) < 50
+    # Every evaluation runs numerics.tilted_moments once per sample.
+    assert len(calls) % 2 == 0
+    assert 0 < len(calls) // 2 < 50
 
 
-def test_rejected_line_search_candidates_compute_no_derivatives(monkeypatch):
-    # Master seed 7's first step rejects two line-search candidates.  The
-    # step takes a value at every point it tries and derivatives only at
-    # the start and at each point it moves to, right after its value.
-    graph, mask = masked_k4_instance()
+def _seed_7_step_inputs():
+    """Master seed 7's first step: (target rows, test rows, multiplier, cfg)."""
+    _, mask = masked_k4_instance()
     cfg = _k4_cfg(7)
     sy = mcmc_sample(ET, np.zeros(2), 5, cfg.r_target,
                      seed=SeedSequence(cfg.seed, spawn_key=(0, 0)))
@@ -364,24 +366,60 @@ def test_rejected_line_search_candidates_compute_no_derivatives(monkeypatch):
                      seed=SeedSequence(cfg.seed, spawn_key=(0, 1)))
     target = make_target_set(sy.rows)
     scale = min_scale(target, make_test_set(sz.rows)).min_scale
-    expected = rescaled_step(np.zeros(2), target.points, sz.rows - target.centroid, scale, cfg)
+    return target.points, sz.rows - target.centroid, scale, cfg
 
-    events = []
-    for kind, name in (("value", "loglik_ratio_hat"), ("derivatives", "loglik_ratio_derivatives")):
-        def recording(dtheta, *args, _kind=kind, _original=getattr(estimate, name)):
-            events.append((_kind, dtheta.tobytes()))
-            return _original(dtheta, *args)
-        monkeypatch.setattr(estimate, name, recording)
-    theta = rescaled_step(np.zeros(2), target.points, sz.rows - target.centroid, scale, cfg)
+
+def test_step_evaluations_run_on_distinct_rows(monkeypatch):
+    # The step reduces each sample to its distinct rows once; every
+    # evaluation then weighs those rows by their counts, which sum to the
+    # sample sizes r and s.
+    g_y, g_z, scale, cfg = _seed_7_step_inputs()
+    expected = rescaled_step(np.zeros(2), g_y, g_z, scale, cfg)
+    calls = []
+    original = numerics.tilted_moments
+
+    def recording(rows, weights, theta):
+        calls.append((rows.copy(), weights.copy()))
+        return original(rows, weights, theta)
+
+    monkeypatch.setattr(numerics, "tilted_moments", recording)
+    theta = rescaled_step(np.zeros(2), g_y, g_z, scale, cfg)
     assert theta.tobytes() == expected.tobytes()
 
-    values = [point for kind, point in events if kind == "value"]
-    moves = [point for kind, point in events if kind == "derivatives"]
-    assert len(values) - len(moves) == 2
-    assert moves[0] == np.zeros(2).tobytes() and moves[-1] == theta.tobytes()
-    for k, (kind, point) in enumerate(events):
-        if kind == "derivatives":
-            assert events[k - 1] == ("value", point)
+    shrunk = cfg.safety_factor * scale * g_z
+    assert len(calls) > 2 and len(calls) % 2 == 0
+    for (z_rows, z_counts), (y_rows, y_counts) in zip(calls[::2], calls[1::2]):
+        for rows, counts, sample in ((z_rows, z_counts, shrunk), (y_rows, y_counts, g_y)):
+            assert len(np.unique(rows, axis=0)) == len(rows) < len(sample)
+            assert counts.sum() == len(sample)
+            assert np.array_equal(np.unique(rows, axis=0), np.unique(sample, axis=0))
+            for row, count in zip(rows, counts):
+                assert count == np.all(sample == row, axis=1).sum()
+
+
+def test_step_histogram_evaluation_matches_the_public_ratio(monkeypatch):
+    # The step's evaluation on sample histograms computes the surface of
+    # the public loglik_ratio_* functions on the raw rows.
+    g_y, g_z, scale, cfg = _seed_7_step_inputs()
+    effective = cfg.safety_factor * scale
+    captured = []
+    original = estimate._ascend
+
+    def capturing(evaluate, *args, **kwargs):
+        captured.append(evaluate)
+        return original(evaluate, *args, **kwargs)
+
+    monkeypatch.setattr(estimate, "_ascend", capturing)
+    theta = rescaled_step(np.zeros(2), g_y, g_z, scale, cfg)
+    (evaluate,) = captured
+    # Away from the step's maximizer, where the gradient vanishes, so
+    # that every compared entry is far from zero.
+    for dt in (0.5 * theta, np.array([0.3, -0.7]), np.array([-2.0, 1.5])):
+        value, gradient, hessian = evaluate(dt)
+        for got, want in ((value, loglik_ratio_hat(dt, g_y, g_z, effective)),
+                          (gradient, loglik_ratio_grad(dt, g_y, g_z, effective)),
+                          (hessian, loglik_ratio_hess(dt, g_y, g_z, effective))):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_iterate_scaled_tests_become_interior():

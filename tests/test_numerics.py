@@ -11,6 +11,7 @@ from hullmle.numerics import (
     covariance,
     distinct_rows,
     rank,
+    tilted_moments,
 )
 
 
@@ -41,6 +42,55 @@ def test_distinct_rows_in_order_of_first_appearance():
     assert first.tolist() == [0, 1, 3, 5, 6]
     assert inverse.tolist() == [0, 1, 0, 2, 1, 3, 4]
     assert np.array_equal(pts[first][inverse], pts)
+
+
+def _direct_tilted_moments(rows, weights, theta):
+    p = weights * np.exp(rows @ theta)
+    total = p.sum()
+    mean = sum(pi * row for pi, row in zip(p, rows)) / total
+    cov = sum(pi * np.outer(row - mean, row - mean) for pi, row in zip(p, rows)) / total
+    return np.log(total), mean, cov
+
+
+def _assert_moments_close(got, want):
+    assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0.0)
+    for a, b in zip(got[1:], want[1:]):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+
+def test_tilted_moments_match_the_direct_formula():
+    rng = np.random.default_rng(11)
+    rows = rng.integers(0, 6, size=(20, 3)).astype(float)
+    weights = rng.uniform(0.5, 3.0, size=20)
+    for theta in ([0.0, 0.0, 0.0], [0.3, -0.2, 0.1], [-0.5, 0.4, 0.25]):
+        theta = np.array(theta)
+        _assert_moments_close(tilted_moments(rows, weights, theta),
+                              _direct_tilted_moments(rows, weights, theta))
+
+
+def test_tilted_moments_of_repeated_rows_equal_weighted_distinct_rows():
+    # A sample with unit weights and its histogram of distinct rows with
+    # their counts as weights give the same three answers.
+    rows = np.array([[1.0, 2.0], [3.0, 0.0], [0.0, 5.0], [2.0, 2.0], [4.0, 1.0]])
+    counts = np.array([3, 1, 4, 2, 5])
+    sample = np.repeat(rows, counts, axis=0)
+    np.random.default_rng(2).shuffle(sample)
+    for theta in (np.array([0.2, -0.1]), np.array([-0.7, 0.45])):
+        _assert_moments_close(tilted_moments(sample, np.ones(len(sample)), theta),
+                              tilted_moments(rows, counts.astype(float), theta))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_tilted_moments_stay_finite_at_large_theta(sign):
+    rows = np.array([[1.0, 2.0], [3.0, 1.0], [0.0, 5.0], [2.0, 2.0]])
+    weights = np.array([2.0, 1.0, 3.0, 1.0])
+    theta = sign * np.array([1e3, 1e3])
+    log_sum, mean, cov = tilted_moments(rows, weights, theta)
+    assert np.isfinite(log_sum) and np.isfinite(mean).all() and np.isfinite(cov).all()
+    # All the weight sits on the row that maximizes rows @ theta.
+    top = int(np.argmax(rows @ theta))
+    assert log_sum == pytest.approx(float(rows[top] @ theta) + np.log(weights[top]))
+    assert np.allclose(mean, rows[top]) and np.allclose(cov, 0.0)
 
 
 def test_center_subtracts_mean_exactly():
