@@ -40,7 +40,6 @@ from .expfam import (
     exact_log_kappa,
     exact_loglik,
     exact_moments,
-    loglik_ratio_derivatives,
     loglik_ratio_grad,
     loglik_ratio_hat,
     loglik_ratio_hess,
@@ -55,14 +54,10 @@ from .hull import (
     OriginalLpResult,
     TargetSet,
     make_target_set,
-    oracle_2d,
-    oracle_membership_small,
     query,
     query_dual,
     query_original_lp,
     separating_direction,
-    transform_invariance_check,
-    unit_axis_transform,
 )
 from .lp import (
     ConstraintSense,
@@ -110,7 +105,6 @@ __all__ = [
     "exact_mle",
     "exact_moments",
     "iterate_until_contained",
-    "loglik_ratio_derivatives",
     "loglik_ratio_grad",
     "loglik_ratio_hat",
     "loglik_ratio_hess",
@@ -119,8 +113,6 @@ __all__ = [
     "make_test_set",
     "mcmc_sample",
     "min_scale",
-    "oracle_2d",
-    "oracle_membership_small",
     "prune_curve",
     "query",
     "query_dual",
@@ -130,7 +122,5 @@ __all__ = [
     "solve",
     "statistic_histogram",
     "statistics",
-    "transform_invariance_check",
-    "unit_axis_transform",
     "__version__",
 ]

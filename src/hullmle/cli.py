@@ -138,6 +138,8 @@ def read_csv_matrix(path: str) -> np.ndarray:
             row = [float(f) for f in fields]
         except ValueError:
             raise CliError(EXIT_DATA, f"{path}: line {number}: not a decimal row: {line!r}")
+        if not all(map(math.isfinite, row)):
+            raise CliError(EXIT_DATA, f"{path}: line {number}: NaN or infinite value: {line!r}")
         if width is None:
             width = len(row)
         elif len(row) != width:

@@ -50,7 +50,6 @@ __all__ = [
     "exact_loglik",
     "mcmc_sample",
     "loglik_ratio_hat",
-    "loglik_ratio_derivatives",
     "loglik_ratio_grad",
     "loglik_ratio_hess",
     "demonstrate_unbounded",
@@ -83,6 +82,8 @@ class StatDef:
     def __post_init__(self):
         if not self.terms:
             raise ValueError("statistic definition needs at least one term")
+        if not all(isinstance(term, StatTerm) for term in self.terms):
+            raise ValueError("terms must be StatTerm values; StatDef.from_names takes names")
         if len(set(self.terms)) != len(self.terms):
             raise ValueError("statistic terms must be distinct")
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -707,20 +708,16 @@ def loglik_ratio_hat(dtheta, g_y, g_z, scale: float = 1.0) -> float:
     return _ratio_moments(dtheta, g_y, g_z, scale)[0]
 
 
-def loglik_ratio_derivatives(dtheta, g_y, g_z, scale: float = 1.0):
-    """Gradient and Hessian of loglik_ratio_hat in dtheta: differences
-    of the two samples' tilted means and covariances, the constrained
-    rows multiplied by scale first."""
-    return _ratio_moments(dtheta, g_y, g_z, scale)[1:]
-
-
 def loglik_ratio_grad(dtheta, g_y, g_z, scale: float = 1.0) -> np.ndarray:
-    """Gradient of loglik_ratio_hat in dtheta; see loglik_ratio_derivatives."""
+    """Gradient of loglik_ratio_hat in dtheta: the difference of the two
+    samples' tilted means, the constrained rows multiplied by scale
+    first."""
     return _ratio_moments(dtheta, g_y, g_z, scale)[1]
 
 
 def loglik_ratio_hess(dtheta, g_y, g_z, scale: float = 1.0) -> np.ndarray:
-    """Hessian of loglik_ratio_hat in dtheta; see loglik_ratio_derivatives."""
+    """Hessian of loglik_ratio_hat in dtheta: the difference of the two
+    samples' tilted covariances, as in loglik_ratio_grad."""
     return _ratio_moments(dtheta, g_y, g_z, scale)[2]
 
 

@@ -20,21 +20,20 @@ general simplex.  The two give the same answer bit for bit, except that
 an exact tie can break the other way on a last-bit difference in a
 block solve, and the float kernel can then end at another optimal
 vertex with the same objective (see lp).  The LP has one row per target
-point and only d columns, so when the target has more than ROW_GENERATION_FACTOR * d rows it is solved by exact row
-generation (Kelley's cutting planes): solve on a small active set of
-rows, check the minimizer against every row with one matrix-vector
-product, add the most violated rows and repeat.  That all-rows check is
-both the stopping rule and the certificate, so the answer is that of
-the full LP.  Smaller targets take the same loop with every row active,
-which is one solve.  The legacy box-constrained formulation, the dual
-weight formulation (both on every row), and two brute-force geometric
-oracles are kept as independent cross-checks.
+point and only d columns, so when the target has more than
+ROW_GENERATION_FACTOR * d rows it is solved by exact row generation
+(Kelley's cutting planes): solve on a small active set of rows, check
+the minimizer against every row with one matrix-vector product, add the
+most violated rows and repeat.  That all-rows check is both the stopping
+rule and the certificate, so the answer is that of the full LP.
+Smaller targets take the same loop with every row active, which is one
+solve.  The legacy box-constrained formulation and the dual weight
+formulation (both on every row) are kept as cross-checks.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,24 +61,14 @@ __all__ = [
     "query",
     "query_original_lp",
     "query_dual",
-    "oracle_membership_small",
-    "oracle_2d",
-    "transform_invariance_check",
     "separating_direction",
-    "unit_axis_transform",
 ]
-
-# Relative gamma agreement required of transformed queries.
-TRANSFORM_GAMMA_RTOL = 1e-7
 
 # Targets with more rows than this many per column are queried by row
 # generation.  Measured crossovers against one all-rows solve fell
 # between 100 and 200 rows per column for d = 3, 5 and 10; below them
 # the extra rounds cost more than the smaller LPs save.
 ROW_GENERATION_FACTOR = 100
-
-ORACLE_ROW_LIMIT = 15
-ORACLE_DIM_LIMIT = 4
 
 
 class HullStatus(enum.Enum):
@@ -337,152 +326,6 @@ def query_dual(
     gamma = -1.0 / sol.objective_value if sol.objective_value < 0.0 else np.inf
     status = _classify(gamma, cfg) if np.isfinite(gamma) else HullStatus.INTERIOR
     return DualReport(status, sol.objective_value, sol.primal)
-
-
-def oracle_membership_small(target: TargetSet, point, tol: float = 1e-9) -> bool:
-    """Exact closed-hull membership by subset enumeration.
-
-    Checks every subset of at most dim+1 rows for nonnegative affine
-    coefficients reproducing the centered point.  Any subset that yields
-    residual-free nonnegative coefficients is a valid certificate, and
-    Caratheodory's theorem guarantees one exists whenever the point lies
-    in the closed hull.  Deliberately slow and simple; limited to small
-    instances.
-    """
-    r, d = target.points.shape
-    if r > ORACLE_ROW_LIMIT or d > ORACLE_DIM_LIMIT:
-        raise ValueError(
-            f"oracle limited to {ORACLE_ROW_LIMIT} rows and {ORACLE_DIM_LIMIT} dims"
-        )
-    p = _centered_point(target, point)
-    rhs = np.concatenate([p, [1.0]])
-    scale = tol * (1.0 + np.abs(p).max() + np.abs(target.points).max())
-    for size in range(1, min(d + 1, r) + 1):
-        for subset in itertools.combinations(range(r), size):
-            block = np.vstack([target.points[list(subset)].T, np.ones(size)])
-            lam, *_ = np.linalg.lstsq(block, rhs, rcond=None)
-            if lam.min() < -tol:
-                continue
-            if np.abs(block @ lam - rhs).max() <= scale:
-                return True
-    return False
-
-
-def _cross2(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
-
-
-def _monotone_chain(points: np.ndarray) -> np.ndarray:
-    """Counterclockwise convex hull of 2-D points (unique vertices)."""
-    pts = np.unique(points, axis=0)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    if pts.shape[0] <= 2:
-        return pts
-
-    def half(seq):
-        out = []
-        for q in seq:
-            while len(out) >= 2 and _cross2(out[-1] - out[-2], q - out[-2]) <= 0.0:
-                out.pop()
-            out.append(q)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
-
-
-def oracle_2d(target: TargetSet, point, config: SolverConfig | None = None) -> HullVerdict:
-    """Planar scaling-factor oracle via explicit hull construction.
-
-    Builds the hull polygon with a monotone chain and intersects the ray
-    from the reference with each edge.  Requires two dimensions, full
-    rank, and a reference strictly inside the polygon.
-    """
-    cfg = config or SolverConfig()
-    if target.dim != 2:
-        raise ValueError("planar oracle requires two-dimensional targets")
-    if target.rank < 2:
-        raise ValueError("planar oracle requires full-rank targets")
-    p = _centered_point(target, point)
-    if np.abs(p).max() <= cfg.feas_tol:
-        return HullVerdict(HullStatus.INTERIOR, np.inf, None, None)
-
-    poly = _monotone_chain(target.points)
-    edges = list(zip(poly, np.roll(poly, -1, axis=0)))
-    for a, b in edges:
-        if _cross2(b - a, -a) <= 0.0:
-            raise ValueError("reference is not strictly inside the hull polygon")
-
-    best_t = None
-    best_edge = None
-    for a, b in edges:
-        mat = np.column_stack([p, a - b])
-        det = np.linalg.det(mat)
-        if abs(det) < 1e-14 * (1.0 + np.abs(mat).max() ** 2):
-            continue
-        t, s = np.linalg.solve(mat, a)
-        if t > 0.0 and -1e-12 <= s <= 1.0 + 1e-12:
-            if best_t is None or t < best_t:
-                best_t, best_edge = t, (a, b)
-    if best_t is None:
-        raise ArithmeticError("ray failed to meet the hull boundary")
-
-    gamma = float(best_t)
-    status = _classify(gamma, cfg)
-    hyperplane = None
-    if status is HullStatus.EXTERIOR:
-        a, b = best_edge
-        normal = np.array([-(b - a)[1], (b - a)[0]])
-        c = normal @ a  # nonzero: the edge line misses the interior reference
-        hyperplane = (1.0, -normal / c)
-    boundary = gamma * p + target.centroid
-    return HullVerdict(status, gamma, boundary, hyperplane)
-
-
-def unit_axis_transform(p) -> np.ndarray:
-    """Invertible matrix sending p to the first standard basis vector.
-
-    Identity except for the first column, which is
-    (1/p1, -p2/p1, ..., -pd/p1).  Requires a nonzero first coordinate.
-    """
-    vec = numerics.as_vector(p, "p")
-    if abs(vec[0]) < 1e-12:
-        raise ValueError("transform requires a nonzero first coordinate")
-    mat = np.eye(vec.size)
-    mat[:, 0] = -vec / vec[0]
-    mat[0, 0] = 1.0 / vec[0]
-    return mat
-
-
-def transform_invariance_check(
-    target: TargetSet, point, transform, config: SolverConfig | None = None
-) -> bool:
-    """True when querying under an invertible change of coordinates
-    preserves the verdict status and (finite) gamma to 1e-7 relative.
-
-    The transformed query runs on rows M A' against the point A p, all in
-    centered coordinates, so the hull geometry is mapped exactly.
-    """
-    cfg = config or SolverConfig()
-    mat = numerics.as_matrix(transform, "transform")
-    d = target.dim
-    if mat.shape != (d, d):
-        raise ValueError(f"transform must be {d}x{d}, got {mat.shape}")
-    if np.linalg.matrix_rank(mat) < d:
-        raise ValueError("transform must be invertible")
-
-    base = query(target, point, cfg)
-    p = _centered_point(target, point)
-    moved = make_target_set(target.points @ mat.T, centroid=np.zeros(d))
-    image = query(moved, mat @ p, cfg)
-
-    if base.status is not image.status:
-        return False
-    if np.isinf(base.gamma) or np.isinf(image.gamma):
-        return bool(np.isinf(base.gamma) and np.isinf(image.gamma))
-    return abs(base.gamma - image.gamma) <= TRANSFORM_GAMMA_RTOL * (1.0 + abs(base.gamma))
 
 
 def separating_direction(verdict: HullVerdict) -> np.ndarray:

@@ -15,17 +15,16 @@ and negative parts.  Internally every row gets a slack variable whose
 bounds encode the row sense, plus an artificial variable when the
 initial slack basis is infeasible for that row.
 
-The float route serves the small LPs of the hull queries.  Their shape
-is the membership shape: minimize, every row >=, rhs identically -1,
-every bound infinite (min p'z subject to M z >= -1 with z free).  A
-MembershipProgram holds just M and p; a LinearProgram of that shape is
-treated alike.  When such a problem has at most 5 columns and 200
-entries (_runs_on_floats), the shape of every estimator hull query, a
-kernel on Python floats solves it.  Its all-slack basis is feasible at
-z = 0, so it runs phase two only, with no artificial columns; the free
-structural columns never leave the basis once they enter, and a
-leaving slack always stops at its upper bound 0.  Every other problem,
-a larger membership LP included, takes the general route.
+The float route serves the small LPs of the hull queries: the
+membership LP min p'z subject to M z >= -1 with z free, which a
+MembershipProgram holds as just M and p.  When one has at most 5
+columns and 200 entries (_runs_on_floats), the shape of every
+estimator hull query, a kernel on Python floats solves it.  Its
+all-slack basis is feasible at z = 0, so it runs phase two only, with
+no artificial columns; the free structural columns never leave the
+basis once they enter, and a leaving slack always stops at its upper
+bound 0.  Every other problem, a larger MembershipProgram or any
+LinearProgram, takes the general route.
 
 The float kernel follows the general route's pivot rules, and every
 number it returns (minimizer, objective, feasibility check, ray) comes
@@ -558,18 +557,6 @@ class _Simplex:
             )
 
 
-def _is_membership_shape(problem: LinearProgram | MembershipProgram) -> bool:
-    """True for a MembershipProgram, and for a LinearProgram that is
-    min p'z subject to M z >= -1 with every z free."""
-    return isinstance(problem, MembershipProgram) or (
-        problem.objective_sense is ObjectiveSense.MINIMIZE
-        and problem.constraint_senses.count(ConstraintSense.GE) == problem.n_rows
-        and bool(np.all(problem.rhs == -1.0))
-        and not np.isfinite(problem.lower_bounds).any()
-        and not np.isfinite(problem.upper_bounds).any()
-    )
-
-
 def _runs_on_floats(m: int, n: int) -> bool:
     """True when an m x n membership LP runs on _membership_floats
     rather than on _Simplex.
@@ -820,14 +807,13 @@ def solve(
 ) -> LpSolution:
     """Solve a dense LP; deterministic for identical inputs.
 
-    A MembershipProgram, or a LinearProgram of membership shape
-    (minimize, every row >=, rhs identically -1, every bound infinite),
-    with at most 5 columns and 200 entries takes the phase-two-only
-    float kernel; any other problem takes the general two-phase simplex,
-    a larger MembershipProgram as its LinearProgram.  The two routes
-    return bit-identical solutions except where an exact tie breaks
-    differently on the float kernel (see the module docstring), so the
-    route is an implementation detail, chosen from the problem alone.
+    A MembershipProgram with at most 5 columns and 200 entries takes the
+    phase-two-only float kernel; any other problem takes the general
+    two-phase simplex, a larger MembershipProgram as its LinearProgram.
+    The two routes return bit-identical solutions except where an exact
+    tie breaks differently on the float kernel (see the module
+    docstring), so the route is an implementation detail, chosen from
+    the problem alone.
 
     Raises IterationLimitError when the pivot budget runs out, and
     ArithmeticError when the final basis fails its feasibility check or
@@ -838,22 +824,20 @@ def solve(
         raise TypeError("problem must be a LinearProgram or a MembershipProgram")
     cfg = config or SolverConfig()
     try:
-        if _runs_on_floats(problem.n_rows, problem.n_cols) and _is_membership_shape(problem):
-            return _membership_floats(problem.constraint_matrix, problem.objective, cfg)
         if isinstance(problem, MembershipProgram):
+            if _runs_on_floats(problem.n_rows, problem.n_cols):
+                return _membership_floats(problem.constraint_matrix, problem.objective, cfg)
             problem = _membership_linear_program(problem)
         return _Simplex(problem, cfg).solve()
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"simplex basis solve failed: {exc}") from exc
 
 
-def dual_of_membership(primal: LinearProgram | MembershipProgram) -> LinearProgram:
+def dual_of_membership(primal: MembershipProgram) -> LinearProgram:
     """Dual of the free-variable membership LP: maximize -1'y subject to
     M'y = p with y >= 0, one weight per target row."""
-    if not _is_membership_shape(primal):
-        raise ValueError(
-            "membership primal must minimize p'z subject to M z >= -1 with z free"
-        )
+    if not isinstance(primal, MembershipProgram):
+        raise TypeError("membership primal must be a MembershipProgram")
     mat = primal.constraint_matrix
     r = mat.shape[0]
     return LinearProgram(

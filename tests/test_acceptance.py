@@ -30,16 +30,14 @@ from hullmle.hull import (
     HullStatus,
     SolverConfig,
     make_target_set,
-    oracle_2d,
-    oracle_membership_small,
     query,
     query_dual,
     query_original_lp,
     separating_direction,
-    transform_invariance_check,
 )
 
 from conftest import MASKED_K4_MLE, masked_k4_instance, random_target
+from oracles import oracle_2d, oracle_membership_small, transform_invariance_check
 
 EDGES = StatDef.from_names(["edges"])
 ET = StatDef.from_names(["edges", "triangles"])

@@ -180,6 +180,20 @@ def test_csv_parse_error_names_line(triangle_file, tmp_path, capsys):
     code, _, err = run(capsys, "hull-test", str(bad), triangle_file)
     assert code == 65
     assert "line 2" in err
+    # A non-finite field, which float() parses, is named by file and line
+    # too, whether in a target, a point or a tests file.
+    point = point_file(tmp_path, "p.csv", [1.0, 0.0])
+    for text, argv in [
+        ("1,0\n2,nan\n", lambda path: ("hull-test", path, point)),
+        ("1,0\n2,1e400\n", lambda path: ("hull-test", path, point)),
+        ("inf,2\n", lambda path: ("hull-test", triangle_file, path)),
+        ("1,0\n0.1,0.1\n-inf,0\n", lambda path: ("min-scale", triangle_file, path)),
+    ]:
+        bad.write_text(text)
+        code, _, err = run(capsys, *argv(str(bad)))
+        line = text.count("\n")
+        assert code == 65
+        assert f"{bad}: line {line}: NaN or infinite value" in err
 
 
 def test_missing_file_is_a_data_error(tmp_path, capsys):

@@ -150,6 +150,14 @@ def test_fully_observed_loglik_is_exponential_family_form():
     assert got == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("terms", [("edges",), (StatTerm.EDGES, "triangles"), (0,)])
+def test_stat_def_rejects_terms_that_are_not_stat_terms(terms):
+    # Let through, a name would make statistics read the wrong column:
+    # ("edges",) gave K4's triangle count, 4, for its 6 edges.
+    with pytest.raises(ValueError, match="StatDef.from_names"):
+        StatDef(terms=terms)
+
+
 def test_moments_n_cap_enforced():
     with pytest.raises(ValueError):
         exact_log_kappa(EDGES, np.zeros(1), 26)

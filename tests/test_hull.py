@@ -6,18 +6,20 @@ from hypothesis import strategies as st
 from hullmle.hull import (
     HullStatus,
     make_target_set,
-    oracle_2d,
-    oracle_membership_small,
     query,
     query_dual,
     query_original_lp,
     separating_direction,
-    transform_invariance_check,
-    unit_axis_transform,
 )
 from hullmle.lp import SolverConfig
 
 from conftest import random_target
+from oracles import (
+    oracle_2d,
+    oracle_membership_small,
+    transform_invariance_check,
+    unit_axis_transform,
+)
 
 
 # ---------------------------------------------------------------------------

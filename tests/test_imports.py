@@ -24,7 +24,13 @@ def private_imports(path):
     return found
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+# The test oracles stay independent of the solver, so they too import
+# only public names.
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+
+
+@pytest.mark.parametrize("path", [*sorted(PACKAGE.glob("*.py")), ORACLES],
+                         ids=lambda p: p.name)
 def test_no_private_cross_module_imports(path):
     assert private_imports(path) == []
 
@@ -44,6 +50,27 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+# The package's public surface, spelled out so that adding or dropping a
+# name shows in the diff of this test.
+PUBLIC = [
+    "ConstraintSense", "DualReport", "EstimatorConfig", "EstimatorTrace", "Graph",
+    "HullStatus", "HullVerdict", "IterationRecord", "LinearProgram", "LpSolution",
+    "LpStatus", "MembershipProgram", "NonexistentMle", "ObjectiveSense", "ObservationMask",
+    "OptimizationError", "OriginalLpResult", "ScaleReport", "SolverConfig", "StatDef",
+    "StatMatrix", "StatTerm", "TargetSet", "TestSet", "__version__",
+    "demonstrate_unbounded", "dyad_pairs", "enumerate_statistics", "exact_log_kappa",
+    "exact_loglik", "exact_mle", "exact_moments", "iterate_until_contained",
+    "loglik_ratio_grad", "loglik_ratio_hat", "loglik_ratio_hess", "mahalanobis_prune",
+    "make_target_set", "make_test_set", "mcmc_sample", "min_scale", "prune_curve",
+    "query", "query_dual", "query_original_lp", "rescaled_step", "separating_direction",
+    "solve", "statistic_histogram", "statistics",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(importlib.import_module("hullmle").__all__) == PUBLIC
 
 
 def test_star_import_succeeds():
