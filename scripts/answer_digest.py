@@ -1,6 +1,6 @@
 """SHA-256 digests of the estimators' answers, to compare two source trees.
 
-Three answer sets are hashed, each with its outcome counts:
+Four answer sets are hashed, each with its outcome counts:
 
 * iterate_until_contained on the masked K4 instance (the complete graph
   on vertices 1..4 plus an isolated vertex 0 whose dyads to 1 and 2 are
@@ -26,6 +26,17 @@ Three answer sets are hashed, each with its outcome counts:
   sides of the boundary.  A 2500 x 20 uniform cube cloud is queried at
   the all-ones corner, by row generation on the general simplex.  A
   verdict contributes its status, gamma and minimizer.
+* The sampled likelihood ratio on RATIO_DRAWS draws of two inputs: K4
+  samples at theta = 0 (75 unconstrained and 25 masked rows, many
+  repeated, the chains seeded by SeedSequence(RATIO_SEED, spawn_key=
+  (0, draw, 0 or 1))), and 200 x 3 against 50 x 3 standard normal rows
+  (no repeats), both samples centered by the target mean.  The normal
+  rows, dtheta and scales come from SeedSequence(RATIO_SEED, spawn_key=
+  (kind, draw)).  A draw contributes loglik_ratio_hat, _grad and _hess
+  at RATIO_STEPS standard normal dtheta (halved) and scales from 0.5 to
+  1, the target rows passed as a StatMatrix, and demonstrate_unbounded
+  along the first column, with the test rows shifted one unit past every
+  target row.
 
 Every float is hashed as float.hex, so equal digests mean answers equal
 bit for bit.  The answers depend on the BLAS kernel numpy runs, so
@@ -53,9 +64,15 @@ from hullmle import (
     ObservationMask,
     OptimizationError,
     StatDef,
+    StatMatrix,
+    demonstrate_unbounded,
     exact_mle,
     iterate_until_contained,
+    loglik_ratio_grad,
+    loglik_ratio_hat,
+    loglik_ratio_hess,
     make_target_set,
+    mcmc_sample,
     query,
 )
 
@@ -73,12 +90,17 @@ def _failure(exc: Exception) -> str:
     return text
 
 
-def k4_answers(seeds: int):
-    """(line, outcome, kind line) per master seed of the masked K4 estimator."""
+def masked_k4():
+    """The masked K4 instance: its graph and observation mask."""
     graph = Graph.from_pairs(5, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
     observed = np.ones(10, dtype=bool)
     observed[[0, 1]] = False
-    mask = ObservationMask.from_graph(graph, observed)
+    return graph, ObservationMask.from_graph(graph, observed)
+
+
+def k4_answers(seeds: int):
+    """(line, outcome, kind line) per master seed of the masked K4 estimator."""
+    graph, mask = masked_k4()
     for seed in range(seeds):
         cfg = EstimatorConfig(r_target=75, s_test=25, safety_factor=0.7,
                               max_outer_iterations=10, seed=seed)
@@ -148,6 +170,51 @@ def hull_answers(seed: int, draws: int):
                        status, f"{kind} {draw} {j} {status}")
 
 
+RATIO_SEED = 0
+RATIO_DRAWS = 10
+RATIO_STEPS = 5
+RATIO_ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+def _ratio_inputs(kind: int, draw: int):
+    """(target rows, test rows, rng for dtheta and scales) of one draw."""
+    rng = np.random.default_rng(np.random.SeedSequence(RATIO_SEED, spawn_key=(kind, draw)))
+    if kind == 0:
+        graph, mask = masked_k4()
+        theta = np.zeros(EDGES_TRIANGLES.dim)
+        seed_y, seed_z = (np.random.SeedSequence(RATIO_SEED, spawn_key=(kind, draw, side))
+                          for side in (0, 1))
+        ys = mcmc_sample(EDGES_TRIANGLES, theta, graph.n, 75, seed=seed_y).rows
+        zs = mcmc_sample(EDGES_TRIANGLES, theta, graph.n, 25, mask=mask, seed=seed_z).rows
+    else:
+        ys = rng.standard_normal((200, 3))
+        zs = rng.standard_normal((50, 3))
+    centroid = ys.mean(axis=0)
+    return ys - centroid, zs - centroid, rng
+
+
+def ratio_answers():
+    """(line, outcome, kind line) per draw of the sampled likelihood ratio."""
+    for kind, name in enumerate(("k4", "normal")):
+        for draw in range(RATIO_DRAWS):
+            ys, zs, rng = _ratio_inputs(kind, draw)
+            parts = []
+            for _ in range(RATIO_STEPS):
+                dtheta = 0.5 * rng.standard_normal(ys.shape[1])
+                scale = float(rng.uniform(0.5, 1.0))
+                parts.extend(_hex(ratio(dtheta, StatMatrix(rows=ys), zs, scale))
+                             for ratio in (loglik_ratio_hat, loglik_ratio_grad,
+                                           loglik_ratio_hess))
+            shifted = zs.copy()
+            shifted[:, 0] += ys[:, 0].max() - zs[:, 0].min() + 1.0
+            direction = np.eye(ys.shape[1])[0]
+            values = demonstrate_unbounded(ys, shifted, direction, RATIO_ALPHAS)
+            increasing = all(b > a for a, b in zip(values, values[1:]))
+            outcome = "increasing" if increasing else "not-increasing"
+            yield (f"{name} {draw} {' '.join(parts)} / {_hex(values)}", outcome,
+                   f"{name} {draw} {outcome}")
+
+
 def digest(answers) -> tuple[str, str, Counter]:
     """SHA-256 of the answer lines and of the kind lines, and the outcome counts."""
     sha, kinds, counts = hashlib.sha256(), hashlib.sha256(), Counter()
@@ -178,6 +245,7 @@ def main():
          exact_answers(args.exact_seed, args.exact_ops)),
         (f"hull seed {args.hull_seed} draws 0-{args.hull_draws - 1}",
          hull_answers(args.hull_seed, args.hull_draws)),
+        (f"ratio seed {RATIO_SEED} draws 0-{RATIO_DRAWS - 1}", ratio_answers()),
     ):
         sha, kinds, counts = digest(answers)
         tally = "  ".join(f"{kind} {count}" for kind, count in sorted(counts.items()))

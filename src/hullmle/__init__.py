@@ -24,8 +24,12 @@ from .estimate import (
     IterationRecord,
     NonexistentMle,
     OptimizationError,
+    demonstrate_unbounded,
     exact_mle,
     iterate_until_contained,
+    loglik_ratio_grad,
+    loglik_ratio_hat,
+    loglik_ratio_hess,
     rescaled_step,
 )
 from .expfam import (
@@ -34,15 +38,11 @@ from .expfam import (
     StatDef,
     StatMatrix,
     StatTerm,
-    demonstrate_unbounded,
     dyad_pairs,
     enumerate_statistics,
     exact_log_kappa,
     exact_loglik,
     exact_moments,
-    loglik_ratio_grad,
-    loglik_ratio_hat,
-    loglik_ratio_hess,
     mcmc_sample,
     statistic_histogram,
     statistics,

@@ -27,15 +27,13 @@ from numpy.random import SeedSequence
 
 from . import __version__
 from .batch import make_test_set, min_scale, prune_curve
-from .estimate import EstimatorConfig, OptimizationError, iterate_until_contained
-from .expfam import (
-    Graph,
-    ObservationMask,
-    StatDef,
+from .estimate import (
+    EstimatorConfig,
+    OptimizationError,
     demonstrate_unbounded,
-    dyad_pairs,
-    mcmc_sample,
+    iterate_until_contained,
 )
+from .expfam import Graph, ObservationMask, StatDef, dyad_pairs, mcmc_sample
 from .hull import HullStatus, make_target_set, query, separating_direction
 from .lp import SolverConfig
 

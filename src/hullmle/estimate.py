@@ -11,6 +11,14 @@ maximizer.  An exact-MLE oracle over enumerable spaces validates the
 whole loop on toy instances.  Both maximize a difference of two
 log-partition functions, whose gradient and Hessian are differences of
 means and covariances, with the same Newton ascent.
+
+Log-likelihood ratios between two parameter values are estimated from
+samples by the difference of two log-mean-exp terms, each the kernel
+numerics.tilted_moments over a sample's histogram (its distinct rows
+weighted by their counts) less the log of the sample size, optionally
+with a scaling factor applied to the (centered) constrained rows; that
+factor is how the hull machinery's minimum scaling factor enters
+estimation.  The step and the public ratio functions share that surface.
 """
 
 from __future__ import annotations
@@ -26,11 +34,8 @@ from .expfam import (
     Graph,
     ObservationMask,
     StatDef,
+    StatMatrix,
     exact_moments,
-    # Neither is called here since the step runs numerics.tilted_moments,
-    # but perfbench/tracer.py still wraps both names in this module.
-    loglik_ratio_grad,
-    loglik_ratio_hat,
     mcmc_sample,
     statistic_histogram,
     statistics,
@@ -46,6 +51,10 @@ __all__ = [
     "rescaled_step",
     "iterate_until_contained",
     "exact_mle",
+    "loglik_ratio_hat",
+    "loglik_ratio_grad",
+    "loglik_ratio_hess",
+    "demonstrate_unbounded",
 ]
 
 
@@ -187,24 +196,26 @@ def _ascend(evaluate, x0, gradient_tol, max_iterations, bound=np.inf):
     )
 
 
-def rescaled_step(theta0, g_y, g_z, scale: float, cfg: EstimatorConfig) -> np.ndarray:
-    """One re-estimation step at a shrunk test sample.
+def _ratio_surface(g_y, g_z, scale: float):
+    """(evaluate, target rows, test rows) of the sampled ratio surface.
 
-    Maximizes the sampled likelihood ratio with the centered test rows
-    multiplied by safety_factor * scale, starting from no change, and
-    returns the updated parameter.  Inputs must already be centered by
-    the target-sample column mean.  The shrunk test rows lie inside the
-    target hull, so the surface has a maximizer.  The surface is
-    loglik_ratio_hat's, evaluated as exact_mle's is: each sample becomes
-    a histogram once, and each evaluation takes the difference of two
-    numerics.tilted_moments, each log-sum less the log of its sample size.
+    g_y and g_z are row arrays or StatMatrix samples of equal width.
+    Each becomes a histogram once, the test rows times scale first: its
+    distinct rows in order of first appearance and their counts.
+    evaluate(dtheta) returns the value, gradient and Hessian.
     """
-    theta = numerics.as_vector(theta0, "theta0")
-    effective = cfg.safety_factor * scale
-    if not (math.isfinite(effective) and effective > 0.0):
+    if not (math.isfinite(scale) and scale > 0.0):
         raise ValueError("scale must be finite and positive")
-    y_rows, y_counts = _sample_histogram(g_y, 1.0, theta.size)
-    z_rows, z_counts = _sample_histogram(g_z, effective, theta.size)
+    histograms = []
+    for sample, factor in ((g_y, 1.0), (g_z, scale)):
+        rows = sample.rows if isinstance(sample, StatMatrix) else sample
+        rows = factor * numerics.as_matrix(rows, "sample rows")
+        first, inverse = numerics.distinct_rows(rows)
+        histograms.append((rows[first], np.bincount(inverse).astype(np.float64)))
+    (y_rows, y_counts), (z_rows, z_counts) = histograms
+    if y_rows.shape[1] != z_rows.shape[1]:
+        raise ValueError(
+            f"target rows have {y_rows.shape[1]} columns, test rows have {z_rows.shape[1]}")
     log_r, log_s = math.log(y_counts.sum()), math.log(z_counts.sum())
 
     def evaluate(dt):
@@ -212,17 +223,77 @@ def rescaled_step(theta0, g_y, g_z, scale: float, cfg: EstimatorConfig) -> np.nd
         lk_y, mean_y, cov_y = numerics.tilted_moments(y_rows, y_counts, dt)
         return (lk_z - log_s) - (lk_y - log_r), mean_z - mean_y, cov_z - cov_y
 
+    return evaluate, y_rows, z_rows
+
+
+def _vector_of_width(x, name: str, width: int) -> np.ndarray:
+    vector = numerics.as_vector(x, name)
+    if vector.size != width:
+        raise ValueError(f"{name} has {vector.size} entries, sample rows have {width} columns")
+    return vector
+
+
+def _ratio_at(dtheta, g_y, g_z, scale: float):
+    evaluate, y_rows, _ = _ratio_surface(g_y, g_z, scale)
+    return evaluate(_vector_of_width(dtheta, "dtheta", y_rows.shape[1]))
+
+
+def loglik_ratio_hat(dtheta, g_y, g_z, scale: float = 1.0) -> float:
+    """Sampled log-likelihood-ratio estimate between theta0 + dtheta and
+    theta0.
+
+    Both terms are log-mean-exp over sample rows; scale multiplies the
+    constrained rows only, which is exactly how the hull-derived factor
+    shrinks the test sample toward the target centroid when both inputs
+    are centered by the unconstrained column mean.
+    """
+    return _ratio_at(dtheta, g_y, g_z, scale)[0]
+
+
+def loglik_ratio_grad(dtheta, g_y, g_z, scale: float = 1.0) -> np.ndarray:
+    """Gradient of loglik_ratio_hat in dtheta: the difference of the two
+    samples' tilted means, the constrained rows multiplied by scale
+    first."""
+    return _ratio_at(dtheta, g_y, g_z, scale)[1]
+
+
+def loglik_ratio_hess(dtheta, g_y, g_z, scale: float = 1.0) -> np.ndarray:
+    """Hessian of loglik_ratio_hat in dtheta: the difference of the two
+    samples' tilted covariances, as in loglik_ratio_grad."""
+    return _ratio_at(dtheta, g_y, g_z, scale)[2]
+
+
+def demonstrate_unbounded(g_y, g_z, direction, alphas) -> list[float]:
+    """Likelihood-ratio values along a separating direction.
+
+    direction must strictly separate the best constrained row from every
+    unconstrained row: max over gZ rows of z'g exceeds the max over gY
+    rows.  Then theta0 + alpha*direction drives the estimate upward
+    without bound, certifying that the sampled likelihood surface has no
+    maximizer.  Returns the estimate at each alpha.
+    """
+    evaluate, y_rows, z_rows = _ratio_surface(g_y, g_z, 1.0)
+    z = _vector_of_width(direction, "direction", y_rows.shape[1])
+    if not float((y_rows @ z).max()) < float((z_rows @ z).max()):
+        raise ValueError(
+            "direction does not separate the test rows from the target rows"
+        )
+    return [evaluate(alpha * z)[0] for alpha in alphas]
+
+
+def rescaled_step(theta0, g_y, g_z, scale: float, cfg: EstimatorConfig) -> np.ndarray:
+    """One re-estimation step at a shrunk test sample.
+
+    Maximizes the sampled likelihood ratio (loglik_ratio_hat's surface)
+    with the centered test rows multiplied by safety_factor * scale,
+    starting from no change, and returns the updated parameter.  Inputs
+    must already be centered by the target-sample column mean.  The
+    shrunk test rows lie inside the target hull, so the surface has a
+    maximizer.
+    """
+    evaluate, y_rows, _ = _ratio_surface(g_y, g_z, cfg.safety_factor * scale)
+    theta = _vector_of_width(theta0, "theta0", y_rows.shape[1])
     return theta + _ascend(evaluate, np.zeros(theta.size), GRADIENT_TOL, MAX_ITERATIONS)
-
-
-def _sample_histogram(rows, factor: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The checked sample rows times factor, as distinct rows in order of
-    first appearance and the count of each as float64."""
-    rows = factor * numerics.as_matrix(rows, "sample rows")
-    if rows.shape[1] != dim:
-        raise ValueError("sample rows and theta0 disagree on dimension")
-    first, inverse = numerics.distinct_rows(rows)
-    return rows[first], np.bincount(inverse).astype(np.float64)
 
 
 def _variance_condition(y_rows: np.ndarray, z_rows: np.ndarray) -> bool | None:
@@ -282,8 +353,8 @@ def iterate_until_contained(
                 "sampled target statistics are rank-deficient; draw more samples "
                 "or drop a statistic"
             )
-        # The LP needs each distinct target row once; the step below reads
-        # every row, duplicates included.
+        # The LP needs each distinct target row once; the step below
+        # counts how often each row was drawn, so it takes the full sample.
         first, _ = numerics.distinct_rows(target.points)
         hull = TargetSet(points=target.points[first], centroid=target.centroid,
                          rank=target.rank)

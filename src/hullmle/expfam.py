@@ -14,12 +14,6 @@ The model reads a graph only through g(y), so exact inference runs on
 the statistic histogram of a space: its distinct rows and how many
 graphs share each.  One enumeration builds it, a small memo keeps the
 last few spaces, and exact moments are sums over its few rows.
-
-Log-likelihood ratios between two parameter values are estimated from
-samples by the difference of two log-mean-exp terms, the exact kernel
-numerics.tilted_moments with unit weights, optionally with a scaling
-factor applied to the (centered) constrained rows; that factor is how
-the hull machinery's minimum scaling factor enters estimation.
 """
 
 from __future__ import annotations
@@ -49,10 +43,6 @@ __all__ = [
     "exact_moments",
     "exact_loglik",
     "mcmc_sample",
-    "loglik_ratio_hat",
-    "loglik_ratio_grad",
-    "loglik_ratio_hess",
-    "demonstrate_unbounded",
 ]
 
 # Free-dyad enumeration cap: 2**25 graphs.
@@ -230,11 +220,6 @@ class StatMatrix:
 
     rows: np.ndarray
     graphs: tuple[Graph, ...] | None = None
-
-
-def _rows_of(sample) -> np.ndarray:
-    arr = sample.rows if isinstance(sample, StatMatrix) else sample
-    return numerics.as_matrix(arr, "sample rows")
 
 
 def statistics(graph: Graph, stats: StatDef) -> np.ndarray:
@@ -678,65 +663,3 @@ def mcmc_sample(
         graphs = tuple(graphs)
     return StatMatrix(rows=rows, graphs=graphs)
 
-
-def _ratio_moments(dtheta, g_y, g_z, scale):
-    """(loglik_ratio_hat, gradient, Hessian) at dtheta: per sample, the
-    log-sum of numerics.tilted_moments with unit weights less the log
-    of its row count is its log-mean-exp."""
-    dt = numerics.as_vector(dtheta, "dtheta")
-    ys = _rows_of(g_y)
-    zs = _rows_of(g_z)
-    if ys.shape[1] != dt.size or zs.shape[1] != dt.size:
-        raise ValueError("sample rows and dtheta disagree on dimension")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError("scale must be finite and positive")
-    lk_z, mean_z, cov_z = numerics.tilted_moments(scale * zs, np.ones(zs.shape[0]), dt)
-    lk_y, mean_y, cov_y = numerics.tilted_moments(ys, np.ones(ys.shape[0]), dt)
-    value = (lk_z - math.log(zs.shape[0])) - (lk_y - math.log(ys.shape[0]))
-    return value, mean_z - mean_y, cov_z - cov_y
-
-
-def loglik_ratio_hat(dtheta, g_y, g_z, scale: float = 1.0) -> float:
-    """Sampled log-likelihood-ratio estimate between theta0 + dtheta and
-    theta0.
-
-    Both terms are log-mean-exp over sample rows; scale multiplies the
-    constrained rows only, which is exactly how the hull-derived factor
-    shrinks the test sample toward the target centroid when both inputs
-    are centered by the unconstrained column mean.
-    """
-    return _ratio_moments(dtheta, g_y, g_z, scale)[0]
-
-
-def loglik_ratio_grad(dtheta, g_y, g_z, scale: float = 1.0) -> np.ndarray:
-    """Gradient of loglik_ratio_hat in dtheta: the difference of the two
-    samples' tilted means, the constrained rows multiplied by scale
-    first."""
-    return _ratio_moments(dtheta, g_y, g_z, scale)[1]
-
-
-def loglik_ratio_hess(dtheta, g_y, g_z, scale: float = 1.0) -> np.ndarray:
-    """Hessian of loglik_ratio_hat in dtheta: the difference of the two
-    samples' tilted covariances, as in loglik_ratio_grad."""
-    return _ratio_moments(dtheta, g_y, g_z, scale)[2]
-
-
-def demonstrate_unbounded(g_y, g_z, direction, alphas) -> list[float]:
-    """Likelihood-ratio values along a separating direction.
-
-    direction must strictly separate the best constrained row from every
-    unconstrained row: max over gZ rows of z'g exceeds the max over gY
-    rows.  Then theta0 + alpha*direction drives the estimate upward
-    without bound, certifying that the sampled likelihood surface has no
-    maximizer.  Returns the estimate at each alpha.
-    """
-    z = numerics.as_vector(direction, "direction")
-    ys = _rows_of(g_y)
-    zs = _rows_of(g_z)
-    top_y = float((ys @ z).max())
-    top_z = float((zs @ z).max())
-    if not top_y < top_z:
-        raise ValueError(
-            "direction does not separate the test rows from the target rows"
-        )
-    return [float(loglik_ratio_hat(alpha * z, ys, zs, scale=1.0)) for alpha in alphas]

@@ -15,17 +15,15 @@ import pytest
 from numpy.random import SeedSequence, default_rng
 
 from hullmle.batch import make_test_set, min_scale, prune_curve
-from hullmle.estimate import EstimatorConfig, exact_mle, iterate_until_contained
-from hullmle.expfam import (
-    Graph,
-    ObservationMask,
-    StatDef,
+from hullmle.estimate import (
+    EstimatorConfig,
     demonstrate_unbounded,
+    exact_mle,
+    iterate_until_contained,
     loglik_ratio_grad,
     loglik_ratio_hat,
-    mcmc_sample,
-    statistics,
 )
+from hullmle.expfam import Graph, ObservationMask, StatDef, mcmc_sample, statistics
 from hullmle.hull import (
     HullStatus,
     SolverConfig,

@@ -12,18 +12,19 @@ from hullmle.estimate import (
     OptimizationError,
     exact_mle,
     iterate_until_contained,
+    loglik_ratio_grad,
+    loglik_ratio_hat,
+    loglik_ratio_hess,
     rescaled_step,
 )
 from hullmle.expfam import (
     Graph,
     ObservationMask,
     StatDef,
+    StatMatrix,
     dyad_pairs,
     exact_loglik,
     exact_moments,
-    loglik_ratio_grad,
-    loglik_ratio_hat,
-    loglik_ratio_hess,
     mcmc_sample,
     statistics,
 )
@@ -397,9 +398,24 @@ def test_step_evaluations_run_on_distinct_rows(monkeypatch):
                 assert count == np.all(sample == row, axis=1).sum()
 
 
+def _raw_log_mean_exp_ratio(dt, g_y, g_z):
+    """The ratio's value, gradient and Hessian over every raw row with
+    unit weights, written independently of the package."""
+    def log_mean_exp(rows):
+        x = rows @ dt
+        top = x.max()
+        w = np.exp(x - top)
+        cov = np.cov(rows, rowvar=False, aweights=w, bias=True)
+        return top + np.log(w.mean()), np.average(rows, axis=0, weights=w), cov
+
+    lk_z, mean_z, cov_z = log_mean_exp(g_z)
+    lk_y, mean_y, cov_y = log_mean_exp(g_y)
+    return lk_z - lk_y, mean_z - mean_y, cov_z - cov_y
+
+
 def test_step_histogram_evaluation_matches_the_public_ratio(monkeypatch):
-    # The step's evaluation on sample histograms computes the surface of
-    # the public loglik_ratio_* functions on the raw rows.
+    # The step's evaluation on sample histograms computes the sampled
+    # ratio that log-mean-exp over the raw rows defines.
     g_y, g_z, scale, cfg = _seed_7_step_inputs()
     effective = cfg.safety_factor * scale
     captured = []
@@ -415,11 +431,19 @@ def test_step_histogram_evaluation_matches_the_public_ratio(monkeypatch):
     # Away from the step's maximizer, where the gradient vanishes, so
     # that every compared entry is far from zero.
     for dt in (0.5 * theta, np.array([0.3, -0.7]), np.array([-2.0, 1.5])):
-        value, gradient, hessian = evaluate(dt)
-        for got, want in ((value, loglik_ratio_hat(dt, g_y, g_z, effective)),
-                          (gradient, loglik_ratio_grad(dt, g_y, g_z, effective)),
-                          (hessian, loglik_ratio_hess(dt, g_y, g_z, effective))):
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        got = evaluate(dt)
+        want = _raw_log_mean_exp_ratio(dt, g_y, effective * g_z)
+        for got_part, want_part in zip(got, want):
+            assert got_part == pytest.approx(want_part, rel=1e-12, abs=0.0)
+
+
+def test_step_reads_stat_matrix_samples_as_their_rows():
+    # StatMatrix samples are accepted as the public ratio functions
+    # accept them, with the answer of their rows bit for bit.
+    g_y, g_z, scale, cfg = _seed_7_step_inputs()
+    expected = rescaled_step(np.zeros(2), g_y, g_z, scale, cfg)
+    theta = rescaled_step(np.zeros(2), StatMatrix(rows=g_y), StatMatrix(rows=g_z), scale, cfg)
+    assert theta.tobytes() == expected.tobytes()
 
 
 def test_iterate_scaled_tests_become_interior():

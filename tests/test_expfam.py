@@ -8,20 +8,22 @@ from numpy.random import SeedSequence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hullmle.estimate import (
+    demonstrate_unbounded,
+    loglik_ratio_grad,
+    loglik_ratio_hat,
+    loglik_ratio_hess,
+)
 from hullmle.expfam import (
     Graph,
     ObservationMask,
     StatDef,
     StatTerm,
-    demonstrate_unbounded,
     dyad_pairs,
     enumerate_statistics,
     exact_log_kappa,
     exact_loglik,
     exact_moments,
-    loglik_ratio_grad,
-    loglik_ratio_hat,
-    loglik_ratio_hess,
     mcmc_sample,
     statistic_histogram,
     statistics,
@@ -794,3 +796,17 @@ def test_demonstrate_unbounded_rejects_non_separating_direction():
     zs = np.array([[1.0, 1.0]])
     with pytest.raises(ValueError):
         demonstrate_unbounded(ys, zs, np.array([1.0, 0.0]), [1.0, 2.0])
+
+
+def test_demonstrate_unbounded_rejects_a_direction_of_another_width():
+    ys = np.array([[0.0, 0.0], [1.0, 0.5]])
+    zs = np.array([[2.0, 2.0]])
+    with pytest.raises(ValueError, match="direction has 3 entries, sample rows have 2 columns"):
+        demonstrate_unbounded(ys, zs, np.ones(3), [1.0, 2.0])
+
+
+def test_demonstrate_unbounded_rejects_samples_of_different_widths():
+    ys = np.array([[0.0, 0.0], [1.0, 0.5]])
+    zs = np.array([[2.0, 2.0, 2.0]])
+    with pytest.raises(ValueError, match="target rows have 2 columns, test rows have 3"):
+        demonstrate_unbounded(ys, zs, np.ones(2), [1.0, 2.0])
