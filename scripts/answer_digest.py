@@ -1,6 +1,6 @@
 """SHA-256 digests of the estimators' answers, to compare two source trees.
 
-Four answer sets are hashed, each with its outcome counts:
+Five answer sets are hashed, each with its outcome counts:
 
 * iterate_until_contained on the masked K4 instance (the complete graph
   on vertices 1..4 plus an isolated vertex 0 whose dyads to 1 and 2 are
@@ -37,6 +37,14 @@ Four answer sets are hashed, each with its outcome counts:
   1, the target rows passed as a StatMatrix, and demonstrate_unbounded
   along the first column, with the test rows shifted one unit past every
   target row.
+* The statistic histograms (edges, 2-stars, triangles) of four spaces:
+  every graph on 6 vertices, the masked K4 instance, and a random graph
+  on 30 vertices with 10 free dyads and one on 100 with 5.  Each of the
+  last two has edge probability 0.3 and its free dyads among 8 of its
+  vertices, drawn from SeedSequence(SPACES_SEED, spawn_key=(n, k)).  A
+  space contributes its distinct rows and their graph counts.  Two
+  mcmc_sample runs on the 30-vertex space (SPACES_DRAWS rows at the
+  default interval, at two thetas) contribute their rows.
 
 Every float is hashed as float.hex, so equal digests mean answers equal
 bit for bit.  The answers depend on the BLAS kernel numpy runs, so
@@ -66,6 +74,7 @@ from hullmle import (
     StatDef,
     StatMatrix,
     demonstrate_unbounded,
+    dyad_pairs,
     exact_mle,
     iterate_until_contained,
     loglik_ratio_grad,
@@ -74,6 +83,7 @@ from hullmle import (
     make_target_set,
     mcmc_sample,
     query,
+    statistic_histogram,
 )
 
 EDGES_TRIANGLES = StatDef.from_names(["edges", "triangles"])
@@ -215,6 +225,42 @@ def ratio_answers():
                    f"{name} {draw} {outcome}")
 
 
+SPACES_SEED = 0
+SPACES_DRAWS = 200
+SPACES_STATS = StatDef.from_names(["edges", "two-stars", "triangles"])
+SPACES_THETAS = ((-0.8, 0.05, 0.4), (0.3, -0.2, 0.6))
+
+
+def _random_space(n: int, k: int):
+    """A random graph on n vertices with k free dyads among 8 of its vertices."""
+    rng = np.random.default_rng(np.random.SeedSequence(SPACES_SEED, spawn_key=(n, k)))
+    m = n * (n - 1) // 2
+    graph = Graph(n=n, edges=rng.random(m) < 0.3)
+    members = np.zeros(n, dtype=bool)
+    members[rng.choice(n, 8, replace=False)] = True
+    pairs = dyad_pairs(n)
+    inside = np.flatnonzero(members[pairs[:, 0]] & members[pairs[:, 1]])
+    observed = np.ones(m, dtype=bool)
+    observed[rng.choice(inside, k, replace=False)] = False
+    return ObservationMask.from_graph(graph, observed)
+
+
+def space_answers():
+    """(line, outcome, kind line) per space histogram and per sample."""
+    spaces = [("n6-free", 6, None), ("k4-masked", 5, masked_k4()[1]),
+              ("n30-free10", 30, _random_space(30, 10)),
+              ("n100-free5", 100, _random_space(100, 5))]
+    for name, n, mask in spaces:
+        rows, counts = statistic_histogram(SPACES_STATS, n, mask)
+        yield (f"{name} {_hex(rows)} / {_hex(counts)}", "histogram",
+               f"{name} histogram {rows.shape[0]}")
+    _, n, mask = spaces[2]
+    for j, theta in enumerate(SPACES_THETAS):
+        seed = np.random.SeedSequence(SPACES_SEED, spawn_key=(n, mask.n_free, j))
+        sample = mcmc_sample(SPACES_STATS, np.array(theta), n, SPACES_DRAWS, mask=mask, seed=seed)
+        yield f"sample {j} {_hex(sample.rows)}", "sample", f"sample {j}"
+
+
 def digest(answers) -> tuple[str, str, Counter]:
     """SHA-256 of the answer lines and of the kind lines, and the outcome counts."""
     sha, kinds, counts = hashlib.sha256(), hashlib.sha256(), Counter()
@@ -246,6 +292,7 @@ def main():
         (f"hull seed {args.hull_seed} draws 0-{args.hull_draws - 1}",
          hull_answers(args.hull_seed, args.hull_draws)),
         (f"ratio seed {RATIO_SEED} draws 0-{RATIO_DRAWS - 1}", ratio_answers()),
+        (f"spaces seed {SPACES_SEED}", space_answers()),
     ):
         sha, kinds, counts = digest(answers)
         tally = "  ".join(f"{kind} {count}" for kind, count in sorted(counts.items()))

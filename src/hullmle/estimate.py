@@ -270,8 +270,11 @@ def demonstrate_unbounded(g_y, g_z, direction, alphas) -> list[float]:
     unconstrained row: max over gZ rows of z'g exceeds the max over gY
     rows.  Then theta0 + alpha*direction drives the estimate upward
     without bound, certifying that the sampled likelihood surface has no
-    maximizer.  Returns the estimate at each alpha.
+    maximizer.  Returns the estimate at each alpha; alphas must be finite.
     """
+    alphas = [float(alpha) for alpha in alphas]
+    if not all(map(math.isfinite, alphas)):
+        raise ValueError(f"alphas must be finite, got {alphas}")
     evaluate, y_rows, z_rows = _ratio_surface(g_y, g_z, 1.0)
     z = _vector_of_width(direction, "direction", y_rows.shape[1])
     if not float((y_rows @ z).max()) < float((z_rows @ z).max()):

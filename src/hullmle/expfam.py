@@ -189,6 +189,10 @@ class ObservationMask:
     @classmethod
     def from_graph(cls, graph: Graph, observed_dyads) -> "ObservationMask":
         dyads = _flat_bools(observed_dyads)
+        if dyads.size != graph.edges.size:
+            raise ValueError(
+                f"observed_dyads has {dyads.size} entries, graph has {graph.edges.size} dyads"
+            )
         return cls(observed_dyads=dyads, observed_values=graph.edges & dyads)
 
     @classmethod
@@ -275,11 +279,15 @@ def enumerate_statistics(
     Yields blocks of at most 2**12 rows (_CHUNK) in code order: row c of the
     concatenated blocks belongs to the graph whose k-th free dyad holds
     bit k of c.  Each count is the base graph's plus what the free dyads
-    add, so a block costs work in the free dyads, not in every dyad or
-    vertex triple of the graph: degrees are the base degrees plus the
-    free bits times their endpoints, and triangles are those of the base
-    graph plus each triple through a free dyad whose other dyads are
-    edges or free and whose free dyads are all on.
+    add.  The set-up reads only the base graph and the free dyads: it
+    holds O(n**2) numbers for the graph (its adjacency, the code bit of
+    each dyad, one matrix product for the base triangles) and O(k*n) for
+    the k free dyads (their incidence and the triples through them), so
+    it never lists every dyad or vertex triple.  A block costs work in
+    the free dyads: degrees are the base degrees plus the free bits
+    times their endpoints, and triangles are those of the base graph
+    plus each triple through a free dyad whose other dyads are edges or
+    free and whose free dyads are all on.
     """
     free, base = _space(n, mask)
     k = free.size
@@ -287,28 +295,32 @@ def enumerate_statistics(
         raise ValueError(f"{k} free dyads exceed the enumeration limit of {ENUM_LIMIT}")
 
     pairs = dyad_pairs(n)
-    m = pairs.shape[0]
-    incidence = np.zeros((m, n))
-    incidence[np.arange(m), pairs[:, 0]] = 1.0
-    incidence[np.arange(m), pairs[:, 1]] = 1.0
+    a, b = pairs[free].T
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[tuple(pairs[base].T)] = True
+    adjacency |= adjacency.T
+    # Bit of each dyad in the code, 0 for an observed one: a triple that
+    # can close is a triangle exactly when the code holds its bits.
+    bit = 1 << np.arange(k, dtype=np.int64)
+    code_bit = np.zeros((n, n), dtype=np.int64)
+    code_bit[a, b] = bit
+    code_bit += code_bit.T
+    links = adjacency.astype(np.float64)
     base_edges = float(base.sum())
-    base_degrees = base.astype(np.float64) @ incidence
-    pair_to_index = {tuple(pq): j for j, pq in enumerate(map(tuple, pairs))}
-    triples = np.array(
-        [
-            [pair_to_index[(a, b)], pair_to_index[(a, c)], pair_to_index[(b, c)]]
-            for a, b, c in itertools.combinations(range(n), 3)
-        ],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    # Bit of each dyad in the code, 0 for an observed one: a triple
-    # that can close is a triangle exactly when the code holds its bits.
-    code_bit = np.zeros(m, dtype=np.int64)
-    code_bit[free] = 1 << np.arange(k)
-    can_close = (base | (code_bit > 0))[triples].all(axis=1)
-    needs = code_bit[triples].sum(axis=1)[can_close]
-    base_tris = int(np.count_nonzero(needs == 0))
-    needs = needs[needs > 0]
+    base_degrees = links.sum(axis=1)
+    incidence = np.zeros((k, n))
+    incidence[np.arange(k), a] = 1.0
+    incidence[np.arange(k), b] = 1.0
+    # Common neighbours summed over both orientations of every base
+    # edge count each base triangle six times.
+    base_tris = int((links @ links)[adjacency].sum()) // 6
+    # The triple of free dyad t and a third vertex w can close when (a, w)
+    # and (b, w) are each an edge or free; it is counted once, at its
+    # lowest free dyad, so neither other dyad may carry a bit below t's.
+    edge_or_free = adjacency | (code_bit > 0)
+    needs = bit[:, None] + code_bit[a] + code_bit[b]
+    lowest = (needs & (bit[:, None] - 1)) == 0
+    needs = needs[edge_or_free[a] & edge_or_free[b] & lowest]
 
     total = 1 << k
     for lo in range(0, total, _CHUNK):
@@ -319,7 +331,7 @@ def enumerate_statistics(
             if term is StatTerm.EDGES:
                 cols.append(base_edges + bits.sum(axis=1))
             elif term is StatTerm.TWO_STARS:
-                deg = base_degrees + bits @ incidence[free]
+                deg = base_degrees + bits @ incidence
                 cols.append((deg * (deg - 1.0)).sum(axis=1) / 2.0)
             else:
                 closed = (codes[:, None] & needs) == needs
@@ -539,28 +551,6 @@ def _table_chain(segments, code: int, index, gains):
     return codes
 
 
-def _runs_on_codes(n: int, n_free: int, steps: int) -> bool:
-    """Whether a chain of steps steps runs on the state code.
-
-    Each step on the code saves time over the bitmask kernel; the cost
-    is the cold build of the space's memo, charged on every call, so a
-    cold memo costs no more than the steps save.  In 48ths of a step's
-    saving: 240 per vertex triple of the graph (the enumeration's
-    triangle set-up), 1 per graph, free dyad and vertex (the
-    enumeration's degrees and triangles) and 24 per entry of the
-    per-state index (n_free * 2**n_free of them).  Fixed costs, about
-    0.1 ms a build, are not charged.  (On a 2-core x86 machine a step
-    saved 145 to 400 ns, a triple cost about 0.7 us, a graph, dyad and
-    vertex 1 to 3 ns and an entry 40 to 65 ns; the weights round those
-    up against the smallest saving.  A cold build took 0.6 ms for the
-    1024 graphs on 5 vertices and 4 ms for n = 30 with 10 free dyads.)
-    """
-    if n_free > _CODE_TABLE_LIMIT:
-        return False
-    cost = 240 * math.comb(n, 3) + ((24 + n) * n_free << n_free)
-    return cost <= 48 * steps
-
-
 def mcmc_sample(
     stats: StatDef,
     theta,
@@ -590,16 +580,15 @@ def mcmc_sample(
     uses up its two random numbers but no loop iteration; only toggle
     draws run in Python, split at the block's recording steps.
 
-    Two kernels run the toggles; the input alone picks one.  The
-    state-code kernel runs the chain on the code c of the state (bit t
-    is free dyad t).  A memo per space, built from the rows of
+    Two kernels run the toggles; the space alone picks one.  A space of
+    at most 12 free dyads (_CODE_TABLE_LIMIT) runs on the state-code
+    kernel: the chain runs on the code c of the state (bit t is free
+    dyad t).  A memo per space, built from the rows of
     enumerate_statistics, holds the few distinct changes dg a toggle can
     make and, per state, which of them each toggle makes; each call
     computes theta' dg once per distinct change, and a toggle is two
-    lookups, one comparison and, if accepted, one XOR.  It runs when the
-    space is small next to the chain: at most 12 free dyads k, and the
-    memo's cold build (charged even when the memo holds it) costs less
-    than the steps save.  The bitmask kernel keeps per-vertex adjacency
+    lookups, one comparison and, if accepted, one XOR.  A larger space
+    runs on the bitmask kernel, which keeps per-vertex adjacency
     bitmasks and degrees and computes dg incrementally (degree sums for
     2-stars, common neighbors for triangles).  Both evaluate theta' dg
     in Python floats with the same operations in the same order, so
@@ -636,7 +625,7 @@ def mcmc_sample(
     order = [_CHAIN_TERMS.terms.index(term) for term in stats.terms]
     segments = _toggle_segments(rng, n_free, interval, count)
 
-    if _runs_on_codes(n, n_free, (10 + count) * interval):
+    if n_free <= _CODE_TABLE_LIMIT:
         table, kinds, index = _code_table(*_space_key(n, mask))
         # The gain of the bitmask kernel, term for term in the same order.
         gains = [t_edge * de + t_star * ds + t_tri * dt for de, ds, dt in kinds]

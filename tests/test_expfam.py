@@ -213,28 +213,45 @@ def seam_space():
     return 7, ObservationMask.from_graph(Graph.complete(7), observed)
 
 
+def masked_n30(k):
+    """n = 30 with k free dyads among eight vertices of a random graph, so
+    triples through two or three free dyads occur."""
+    rng = np.random.default_rng(30 + k)
+    graph = Graph(n=30, edges=rng.random(435) < 0.3)
+    members = np.zeros(30, dtype=bool)
+    members[rng.choice(30, 8, replace=False)] = True
+    pairs = dyad_pairs(30)
+    inside = np.flatnonzero(members[pairs[:, 0]] & members[pairs[:, 1]])
+    observed = np.ones(435, dtype=bool)
+    observed[rng.choice(inside, k, replace=False)] = False
+    return 30, ObservationMask.from_graph(graph, observed)
+
+
 def per_code_rows(stats, n, mask):
     k = n * (n - 1) // 2 if mask is None else mask.n_free
     return [statistics(graph_of_code(n, mask, c), stats) for c in range(1 << k)]
 
 
-@pytest.mark.parametrize("n, mask", [(4, None), masked_n5()], ids=["n4", "n5-masked"])
+@pytest.mark.parametrize("n, mask", [(4, None), masked_n5(), masked_n30(8)],
+                         ids=["n4", "n5-masked", "n30-masked"])
 def test_enumerate_statistics_concatenates_to_per_code_rows(n, mask):
     rows = np.concatenate(list(enumerate_statistics(EST, n, mask)))
     assert np.array_equal(rows, per_code_rows(EST, n, mask))
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 12, 30])
+@pytest.mark.parametrize("n", [3, 5, 7, 12, 30, 100])
 def test_triangle_column_matches_the_product_over_every_triple(n):
     # The column is built from the triples through a free dyad plus the
     # base graph's count.  It must equal, byte for byte, the float
     # product over every vertex triple of each graph's three dyads.
+    # Spaces have at most 12 free dyads and 2**18 triple products, but
+    # up to 5 free dyads whatever the graph.
     rng = np.random.default_rng(n)
     m = n * (n - 1) // 2
     index = {pair: j for j, pair in enumerate(map(tuple, dyad_pairs(n).tolist()))}
     triples = np.array([[index[a, b], index[a, c], index[b, c]]
                         for a, b, c in itertools.combinations(range(n), 3)]).reshape(-1, 3)
-    most_free = max(k for k in range(13) if k <= m and triples.shape[0] << k <= 1 << 18)
+    most_free = min(m, 12, max(5, ((1 << 18) // triples.shape[0]).bit_length() - 1))
     for trial in range(6):
         graph = Graph(n=n, edges=rng.random(m) < rng.uniform(0.2, 0.9))
         k = int(rng.integers(0, most_free + 1))
@@ -246,7 +263,7 @@ def test_triangle_column_matches_the_product_over_every_triple(n):
         free, base = expfam._space(n, mask)
         dyads = np.tile(base.astype(np.float64), (1 << k, 1))
         dyads[:, free] = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-        expected = dyads[:, triples].prod(axis=2).sum(axis=1)
+        expected = np.array([row[triples].prod(axis=1).sum() for row in dyads])
         (column,) = enumerate_statistics(StatDef((StatTerm.TRIANGLES,)), n, mask)
         assert column.dtype == np.float64 and column.shape == (1 << k, 1)
         assert column[:, 0].tobytes() == expected.tobytes()
@@ -349,6 +366,11 @@ def test_exact_loglik_matches_per_code_oracle(theta):
     assert_close(exact_loglik(EST, theta, graph, mask), constrained - full)
     g = statistics(graph, EST)
     assert_close(exact_loglik(EST, theta, graph), float(theta @ g) - full)
+
+
+def test_mask_from_graph_rejects_a_dyad_vector_of_another_length():
+    with pytest.raises(ValueError, match="observed_dyads has 5 entries, graph has 6 dyads"):
+        ObservationMask.from_graph(Graph.empty(4), np.ones(5, dtype=bool))
 
 
 def test_histogram_memo_tells_masks_apart_by_values():
@@ -613,7 +635,8 @@ EXTREME_THETAS = [(1e308, -1e308, 1e308), (-1e308, 1e308, -1e308), (1e308, 1e308
 @pytest.mark.parametrize("theta", EXTREME_THETAS)
 @pytest.mark.parametrize("on_codes", [True, False], ids=["state-code", "bitmask"])
 def test_kernels_match_reference_at_extreme_theta(monkeypatch, kernel_calls, on_codes, theta):
-    monkeypatch.setattr(expfam, "_runs_on_codes", lambda *args: on_codes)
+    # A limit of 0 free dyads sends every space to the bitmask kernel.
+    monkeypatch.setattr(expfam, "_CODE_TABLE_LIMIT", 12 if on_codes else 0)
     n, mask = masked_n5()
     t_edge, t_star, t_tri = theta
     _, kinds, _ = expfam._code_table(*expfam._space_key(n, None))
@@ -640,23 +663,14 @@ def test_extreme_theta_reaches_nan_gains():
     assert any(map(math.isnan, gains)) and any(map(math.isinf, gains))
 
 
-def free_dyads_at_cutover(n, steps):
-    """The most free dyads whose chain of steps steps runs on state codes."""
-    k = max(k for k in range(n * (n - 1) // 2 + 1) if expfam._runs_on_codes(n, k, steps))
-    assert not expfam._runs_on_codes(n, k + 1, steps)
-    return k
-
-
-@pytest.mark.parametrize("count, interval, expected_k", [(30, 20, 7), (70, 1000, 12)],
-                         ids=["by-cost", "by-limit"])
+@pytest.mark.parametrize("count, interval", [(30, 20), (70, 1000)],
+                         ids=["short-chain", "long-chain"])
 @pytest.mark.parametrize("past", [0, 1], ids=["at-cutover", "one-past"])
-def test_both_kernels_match_reference_at_the_cutover(kernel_calls, count, interval,
-                                                     expected_k, past):
-    # n = 6 (15 dyads).  800 steps reach the cutover by cost; 80,000
-    # steps would pay for 13 free dyads, but the table stops at 12.
-    n, steps = 6, (10 + count) * interval
-    k = free_dyads_at_cutover(n, steps) + past
-    assert k == expected_k + past
+def test_both_kernels_match_reference_at_the_cutover(kernel_calls, count, interval, past):
+    # n = 6 (15 dyads).  The space alone picks the kernel: 12 free dyads
+    # run on state codes and 13 on bitmasks, for 800 steps or 80,000.
+    n, k = 6, expfam._CODE_TABLE_LIMIT + past
+    assert k == 12 + past
     rng = np.random.default_rng(k)
     graph = Graph(n=n, edges=rng.random(15) < 0.5)
     observed = np.ones(15, dtype=bool)
@@ -665,6 +679,16 @@ def test_both_kernels_match_reference_at_the_cutover(kernel_calls, count, interv
     assert_same_chain(EST, np.array([-0.4, 0.15, 0.3]), n, count, interval=interval, mask=mask,
                       seed=SeedSequence([k, count]))
     assert kernel_calls == ["_bitmask_chain" if past else "_table_chain"]
+
+
+@pytest.mark.parametrize("k", [10, 12])
+def test_short_chains_on_a_large_graph_run_on_state_codes(kernel_calls, k):
+    # 5 records at the default interval: a chain of 150 to 180 steps on
+    # n = 30 runs on the state codes of its small space.
+    n, mask = masked_n30(k)
+    assert_same_chain(EST, np.array([-0.8, 0.05, 0.4]), n, 5, mask=mask,
+                      seed=SeedSequence([30, k]))
+    assert kernel_calls == ["_table_chain"]
 
 
 def test_code_table_arrays_are_read_only():
@@ -803,6 +827,14 @@ def test_demonstrate_unbounded_rejects_a_direction_of_another_width():
     zs = np.array([[2.0, 2.0]])
     with pytest.raises(ValueError, match="direction has 3 entries, sample rows have 2 columns"):
         demonstrate_unbounded(ys, zs, np.ones(3), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("alphas", [[1.0, math.inf], [math.nan]], ids=["inf", "nan"])
+def test_demonstrate_unbounded_rejects_non_finite_alphas(alphas):
+    ys = np.array([[0.0, 0.0], [1.0, 0.5], [0.5, 1.0]])
+    zs = np.array([[2.0, 2.0], [1.5, 1.8]])
+    with pytest.raises(ValueError, match="alphas must be finite"):
+        demonstrate_unbounded(ys, zs, np.array([1.0, 1.0]), alphas)
 
 
 def test_demonstrate_unbounded_rejects_samples_of_different_widths():
