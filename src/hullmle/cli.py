@@ -85,6 +85,8 @@ def _render(value, pieces: list) -> None:
         pieces.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
         x = float(value)
+        if math.isnan(x):
+            raise ValueError("cannot render NaN")
         if math.isinf(x):
             pieces.append("-inf" if x < 0 else "inf")
         else:
@@ -357,8 +359,6 @@ def cmd_estimate(args, config: SolverConfig) -> tuple[dict, int]:
     stats, graph, mask, theta0 = _model_inputs(args, args.theta0, "--theta0")
     try:
         trace = iterate_until_contained(stats, graph, mask, theta0, cfg)
-    except ValueError as exc:
-        raise CliError(EXIT_DATA, str(exc))
     except OptimizationError as exc:
         raise CliError(EXIT_INTERNAL, f"step optimization failed: {exc}")
     result = {
@@ -390,10 +390,7 @@ def cmd_demo_unbounded(args, config: SolverConfig) -> tuple[dict, int]:
         stats, theta, graph.n, args.s_test,
         interval=args.interval, mask=mask, seed=SeedSequence(args.seed, spawn_key=(1,)),
     )
-    try:
-        target = make_target_set(sample_y.rows)
-    except ValueError as exc:
-        raise CliError(EXIT_DATA, f"target sample unusable: {exc}")
+    target = make_target_set(sample_y.rows)
     report = min_scale(target, make_test_set(sample_z.rows), config=config)
     if report.min_scale >= 1.0:
         raise CliError(
@@ -408,9 +405,13 @@ def cmd_demo_unbounded(args, config: SolverConfig) -> tuple[dict, int]:
             f"worst test point is {verdict.status.value}, not strictly exterior",
         )
     direction = separating_direction(verdict)
-    values = demonstrate_unbounded(
-        target.points, sample_z.rows - target.centroid, direction, alphas
-    )
+    # The Exterior verdict's direction separates, so only an alpha can fail.
+    try:
+        values = demonstrate_unbounded(
+            target.points, sample_z.rows - target.centroid, direction, alphas
+        )
+    except ValueError as exc:
+        raise CliError(EXIT_USAGE, f"bad --alphas: {exc}")
     result = {
         "minScale": report.min_scale,
         "direction": direction,

@@ -139,7 +139,7 @@ MAX_ITERATIONS = 200
 MOVE_RESOLUTION = 4.0 * np.finfo(np.float64).eps
 
 
-def _ascend(evaluate, x0, gradient_tol, max_iterations, bound=np.inf):
+def _ascend(evaluate, x0, gradient_tol, bound=np.inf):
     """Newton ascent with a backtracking line search.
 
     evaluate(x) returns the value, gradient and Hessian at x, from one
@@ -149,7 +149,7 @@ def _ascend(evaluate, x0, gradient_tol, max_iterations, bound=np.inf):
     """
     x = np.array(x0, dtype=float)
     value, gradient, hessian = evaluate(x)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         gnorm = float(np.abs(gradient).max())
         if gnorm <= gradient_tol:
             return x
@@ -270,7 +270,9 @@ def demonstrate_unbounded(g_y, g_z, direction, alphas) -> list[float]:
     unconstrained row: max over gZ rows of z'g exceeds the max over gY
     rows.  Then theta0 + alpha*direction drives the estimate upward
     without bound, certifying that the sampled likelihood surface has no
-    maximizer.  Returns the estimate at each alpha; alphas must be finite.
+    maximizer.  Returns the estimate at each alpha; alphas must be finite,
+    and an alpha so large that its estimate is NaN (alpha * direction
+    overflows the exponent) raises ValueError naming it.
     """
     alphas = [float(alpha) for alpha in alphas]
     if not all(map(math.isfinite, alphas)):
@@ -281,7 +283,12 @@ def demonstrate_unbounded(g_y, g_z, direction, alphas) -> list[float]:
         raise ValueError(
             "direction does not separate the test rows from the target rows"
         )
-    return [evaluate(alpha * z)[0] for alpha in alphas]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [evaluate(alpha * z)[0] for alpha in alphas]
+    for alpha, value in zip(alphas, values):
+        if math.isnan(value):
+            raise ValueError(f"the estimate at alpha {alpha!r} is NaN: the exponent overflows")
+    return values
 
 
 def rescaled_step(theta0, g_y, g_z, scale: float, cfg: EstimatorConfig) -> np.ndarray:
@@ -296,7 +303,7 @@ def rescaled_step(theta0, g_y, g_z, scale: float, cfg: EstimatorConfig) -> np.nd
     """
     evaluate, y_rows, _ = _ratio_surface(g_y, g_z, cfg.safety_factor * scale)
     theta = _vector_of_width(theta0, "theta0", y_rows.shape[1])
-    return theta + _ascend(evaluate, np.zeros(theta.size), GRADIENT_TOL, MAX_ITERATIONS)
+    return theta + _ascend(evaluate, np.zeros(theta.size), GRADIENT_TOL)
 
 
 def _variance_condition(y_rows: np.ndarray, z_rows: np.ndarray) -> bool | None:
@@ -396,7 +403,6 @@ def exact_mle(
     y_obs: Graph,
     mask: ObservationMask | None = None,
     gradient_tol: float = GRADIENT_TOL,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> np.ndarray:
     """Maximum-likelihood parameter by exact enumeration.
 
@@ -409,7 +415,6 @@ def exact_mle(
     """
     if not (gradient_tol > 0.0 and math.isfinite(gradient_tol)):
         raise ValueError(f"gradient_tol must be finite and positive, got {gradient_tol!r}")
-    numerics.check_count("max_iterations", max_iterations, 1)
     mask = _estimation_mask(y_obs, mask)
     if mask.observed_dyads.all():
         hull_set = make_target_set(statistic_histogram(stats, y_obs.n)[0])
@@ -425,5 +430,4 @@ def exact_mle(
         lk_full, mean_full, cov_full = exact_moments(stats, theta, y_obs.n, None)
         return lk_con - lk_full, mean_con - mean_full, cov_con - cov_full
 
-    return _ascend(evaluate, np.zeros(stats.dim), gradient_tol, max_iterations,
-                   bound=DIVERGENCE_BOUND)
+    return _ascend(evaluate, np.zeros(stats.dim), gradient_tol, bound=DIVERGENCE_BOUND)

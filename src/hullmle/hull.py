@@ -240,7 +240,7 @@ def query(target: TargetSet, point, config: SolverConfig | None = None) -> HullV
     along the centered point plus each column's extremes, and rows the
     minimizer violates are added until it satisfies every row, which
     certifies it for the full LP; an unbounded round adds the rows that
-    cut off its ray.  SolverConfig.iteration_limit applies to each round.
+    cut off its ray.
     """
     cfg = config or SolverConfig()
     p = _centered_point(target, point)

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, check_count
+from .numerics import as_matrix, as_vector
 
 __all__ = [
     "ObjectiveSense",
@@ -97,8 +97,9 @@ class LpStatus(enum.Enum):
 
 
 class IterationLimitError(RuntimeError):
-    """Raised when the pivot budget is exhausted; signals numerical
-    trouble and is never converted into a solution status."""
+    """Raised when a solve exhausts its pivot budget, ITERATION_LIMIT_FACTOR
+    (rows + columns) of its LP; signals numerical trouble and is never
+    converted into a solution status."""
 
     def __init__(self, iterations: int) -> None:
         super().__init__(f"simplex iteration limit reached after {iterations} pivots")
@@ -112,15 +113,11 @@ class SolverConfig:
     feas_tol      absolute tolerance on constraint residuals
     pivot_tol     smallest pivot magnitude accepted during ratio tests
     boundary_tol  relative half-width of the boundary band in hull verdicts
-    iteration_limit  pivot budget of each LP solve, so of each round of a
-                     row-generation hull query; None means 50 (rows +
-                     columns) of the LP being solved
     """
 
     feas_tol: float = 1e-7
     pivot_tol: float = 1e-9
     boundary_tol: float = 1e-7
-    iteration_limit: int | None = None
 
     def __post_init__(self) -> None:
         for name in ("feas_tol", "pivot_tol", "boundary_tol"):
@@ -129,9 +126,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.iteration_limit is not None:
-            object.__setattr__(self, "iteration_limit",
-                               check_count("iteration_limit", self.iteration_limit, 1))
 
 
 @dataclass(frozen=True)
@@ -302,8 +296,7 @@ class _Simplex:
         self.iterations = 0
         self.bland = False
         self._degenerate_run = 0
-        limit = config.iteration_limit
-        self.limit = ITERATION_LIMIT_FACTOR * (m + n) if limit is None else limit
+        self.limit = ITERATION_LIMIT_FACTOR * (m + n)
         self._ray: np.ndarray | None = None
 
     # -- value bookkeeping -------------------------------------------------
@@ -567,12 +560,11 @@ def _runs_on_floats(m: int, n: int) -> bool:
     problems), the float kernel took 0.2-0.35 of _Simplex's time up to
     the rule's edge and just beyond it (up to m n = 300 with n <= 5),
     0.43 at 40 x 6 and about the same at 100 x 10; on 160 x 20 and
-    500 x 10 uniform clouds it took 2.7 times as long.  The rule stays
-    where it was set against an earlier numpy membership kernel, because
-    it also fixes which problems can meet the float kernel's tie breaks:
-    moving it can change answers.  Every estimator LP (3-20 x 2 and 8-20
-    x 3 in the estimator loop, the 49 x 2 exact-MLE hull) runs on floats
-    and every cube-corner round (n = 20) on _Simplex.
+    500 x 10 uniform clouds it took 2.7 times as long.  The rule must not
+    move, because it also fixes which problems can meet the float
+    kernel's tie breaks: moving it can change answers.  Every estimator
+    LP (3-20 x 2 and 8-20 x 3 in the estimator loop, the 49 x 2 exact-MLE
+    hull) runs on floats and every cube-corner round (n = 20) on _Simplex.
     """
     return n <= 5 and m * n <= 200
 
@@ -673,8 +665,7 @@ def _membership_floats(A, c, cfg: SolverConfig) -> LpSolution:
     m, n = A.shape
     cols = A.T.tolist()
     cost = c.tolist()
-    limit = cfg.iteration_limit
-    limit = ITERATION_LIMIT_FACTOR * (m + n) if limit is None else limit
+    limit = ITERATION_LIMIT_FACTOR * (m + n)
     switch = DEGENERATE_SWITCH_FACTOR * (m + n)
     step = DEGENERATE_STEP
     rate_tol = cfg.pivot_tol

@@ -139,8 +139,9 @@ def tilted_moments(rows: np.ndarray, weights: np.ndarray,
     """log sum_i w_i exp(rows_i' theta), and the mean and covariance of
     the rows under the weights w_i exp(rows_i' theta).
 
-    The exponent is shifted by its maximum, so the result is
-    overflow-safe at any theta; the covariance is summed about the mean.
+    The exponent is shifted by its maximum, so exp cannot overflow and
+    the result is finite wherever rows @ theta is; where its largest
+    entry overflows, the result is NaN.  The covariance is about the mean.
     Unchecked: callers pass finite float arrays of matching shapes and
     positive weights, once checked, since this runs at every evaluation.
     """

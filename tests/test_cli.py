@@ -66,6 +66,11 @@ def test_render_parse_round_trip():
     assert back == doc
 
 
+def test_render_refuses_nan():
+    with pytest.raises(ValueError, match="cannot render NaN"):
+        render_document({"result": [1.0, math.nan]})
+
+
 def test_floats_render_with_17_significant_digits():
     rng = np.random.default_rng(11)
     values = list(rng.standard_normal(50)) + [1e-300, 1e300, 0.1, 2.0 / 3.0]
@@ -569,6 +574,14 @@ def test_demo_unbounded_contained_case_is_an_error(tmp_path, capsys):
                        "--r-target", "300", "--s-test", "50", "--seed", "1")
     assert code == 65
     assert "contained" in err
+
+
+def test_demo_unbounded_alpha_with_a_nan_estimate_is_a_usage_error(k4_files, capsys):
+    code, out, err = run(capsys, "demo-unbounded", *k4_files, "--r-target", "30",
+                         "--s-test", "30", "--alphas", "1,1e300,1e308")
+    assert code == 64
+    assert out == ""
+    assert "bad --alphas: the estimate at alpha 1e+308 is NaN" in err
 
 
 # ---------------------------------------------------------------------------

@@ -837,6 +837,17 @@ def test_demonstrate_unbounded_rejects_non_finite_alphas(alphas):
         demonstrate_unbounded(ys, zs, np.array([1.0, 1.0]), alphas)
 
 
+def test_demonstrate_unbounded_names_an_alpha_whose_estimate_is_nan():
+    # At alpha = 1e308 the test rows' exponents overflow to inf, and their
+    # log-sum-exp to NaN; no RuntimeWarning may escape on the way.
+    ys = np.array([[0.0, 0.0], [1.0, 0.5], [0.5, 1.0]])
+    zs = np.array([[2.0, 2.0], [1.5, 1.8]])
+    direction = np.array([1.0, 1.0])
+    values = demonstrate_unbounded(ys, zs, direction, [1.0, 1e300])
+    assert all(map(math.isfinite, values)) and values[1] > values[0]
+    with pytest.raises(ValueError, match=r"alpha 1e\+308 is NaN"):
+        demonstrate_unbounded(ys, zs, direction, [1.0, 1e300, 1e308])
+
 def test_demonstrate_unbounded_rejects_samples_of_different_widths():
     ys = np.array([[0.0, 0.0], [1.0, 0.5]])
     zs = np.array([[2.0, 2.0, 2.0]])

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import fractions
 import math
 
 import numpy as np
@@ -217,13 +218,21 @@ def test_solver_is_deterministic():
     assert a.iterations == b.iterations
 
 
-def test_iteration_limit_raises():
+def _pivot_budget(monkeypatch, pivots, m, n):
+    """Make the pivot budget of an m x n LP exactly pivots on both routes,
+    which read ITERATION_LIMIT_FACTOR at each solve."""
+    monkeypatch.setattr(lp, "ITERATION_LIMIT_FACTOR", fractions.Fraction(pivots, m + n))
+
+
+def test_iteration_limit_raises(monkeypatch):
     rng = np.random.default_rng(13)
     points = rng.standard_normal((40, 6))
     p = rng.standard_normal(6)
     problem = _membership_problem(points, p)
-    with pytest.raises(IterationLimitError):
-        solve(problem, SolverConfig(iteration_limit=1))
+    _pivot_budget(monkeypatch, 1, 40, 6)
+    with pytest.raises(IterationLimitError) as exc:
+        solve(problem)
+    assert exc.value.iterations == 2
 
 
 @pytest.mark.parametrize("name", ["feas_tol", "pivot_tol", "boundary_tol"])
@@ -238,17 +247,9 @@ def test_solver_config_rejects_tolerances_that_are_not_finite_and_positive(
         SolverConfig(**{name: value})
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, True, False, 0, -3, "5", 1e3])
-def test_solver_config_iteration_limit_is_a_count(value):
-    with pytest.raises(ValueError, match="iteration_limit must be an integer of at least 1"):
-        SolverConfig(iteration_limit=value)
-
-
-def test_solver_config_iteration_limit_takes_integers():
-    assert SolverConfig().iteration_limit is None
-    for value in (1, np.int64(7), np.int32(7)):
-        limit = SolverConfig(iteration_limit=value).iteration_limit
-        assert limit == value and type(limit) is int
+def test_solver_config_holds_the_three_tolerances():
+    names = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert names == ["feas_tol", "pivot_tol", "boundary_tol"]
 
 
 def test_solution_feasibility_on_random_instances():
@@ -283,14 +284,112 @@ def test_constraint_senses_must_be_enum_values(senses):
         )
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("objective", np.ones(3), "objective has 3 entries for 2 columns"),
+    ("rhs", np.zeros(2), "rhs has 2 entries for 1 rows"),
+    ("constraint_senses", (ConstraintSense.LE,) * 2, "one constraint sense required per row"),
+    ("lower_bounds", np.zeros(3), "bound vectors must have one entry per column"),
+    ("upper_bounds", np.ones(1), "bound vectors must have one entry per column"),
+    ("lower_bounds", np.array([0.0, np.nan]), "bounds may be infinite but not NaN"),
+    ("upper_bounds", np.array([np.nan, 1.0]), "bounds may be infinite but not NaN"),
+    ("lower_bounds", np.array([0.0, 2.0]), "lower bound exceeds upper bound"),
+], ids=["objective-length", "rhs-length", "sense-count", "lower-length", "upper-length",
+        "nan-lower", "nan-upper", "lower-above-upper"])
+def test_linear_program_rejects_mismatched_input(field, value, message):
+    fields = {f.name: getattr(_simple_lp(), f.name) for f in dataclasses.fields(LinearProgram)}
+    fields["upper_bounds"] = np.ones(2)
+    fields[field] = value
+    with pytest.raises(ValueError, match=message):
+        LinearProgram(**fields)
+
+
+# ---------------------------------------------------------------------------
+# artificials left basic by phase one, against HiGHS
+
+
+def _spy_evictions(monkeypatch):
+    """Record how many artificials are basic when each solve starts to
+    pivot them out after phase one."""
+    basic = []
+    evict = lp._Simplex._evict_artificials
+
+    def spy(self):
+        basic.append(int((self.unit_col >= self.n + self.m).sum()))
+        evict(self)
+
+    monkeypatch.setattr(lp._Simplex, "_evict_artificials", spy)
+    return basic
+
+
+def _assert_matches_highs(problem, linprog):
+    """solve agrees with HiGHS on an equality-constrained LP: the same
+    status and, at an optimum, the same objective."""
+    sign = -1.0 if problem.objective_sense is ObjectiveSense.MAXIMIZE else 1.0
+    ref = linprog(sign * problem.objective, A_eq=problem.constraint_matrix,
+                  b_eq=problem.rhs, bounds=list(zip(problem.lower_bounds, problem.upper_bounds)),
+                  method="highs")
+    sol = solve(problem)
+    assert sol.status is {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE,
+                          3: LpStatus.UNBOUNDED}[ref.status]
+    if sol.status is LpStatus.OPTIMAL:
+        assert sol.objective_value == pytest.approx(sign * ref.fun, rel=1e-9, abs=1e-9)
+        assert np.allclose(problem.constraint_matrix @ sol.primal, problem.rhs, atol=1e-7)
+    return sol.status
+
+
+def test_dual_of_a_rank_deficient_target_evicts_artificials_as_highs_agrees(monkeypatch):
+    # The dual's rows are the target's columns, so a target of rank k < d
+    # gives d - k redundant equality rows.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    basic = _spy_evictions(monkeypatch)
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        d = int(rng.integers(3, 6))
+        rank = int(rng.integers(1, d))
+        span = rng.standard_normal((rank, d))
+        rows = rng.standard_normal((int(rng.integers(rank + 2, 30)), rank)) @ span
+        p = rng.standard_normal(rank) @ span
+        dual = dual_of_membership(MembershipProgram(rows - rows.mean(axis=0), p))
+        assert _assert_matches_highs(dual, linprog) is LpStatus.OPTIMAL
+    assert len(basic) == 30 and min(basic) > 0
+
+
+def test_redundant_equality_rows_evict_artificials_as_highs_agrees(monkeypatch):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    basic = _spy_evictions(monkeypatch)
+    rng = np.random.default_rng(42)
+    statuses = set()
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        independent = rng.standard_normal((int(rng.integers(1, n + 1)), n))
+        combined = rng.standard_normal((int(rng.integers(1, 4)), independent.shape[0]))
+        a = np.vstack([independent, combined @ independent])
+        a = a[rng.permutation(a.shape[0])]
+        lo = np.where(rng.random(n) < 0.7, 0.0, -np.inf)
+        hi = np.where(rng.random(n) < 0.3, 2.0, np.inf)
+        x0 = np.minimum(np.where(np.isfinite(lo), lo + rng.random(n), rng.standard_normal(n)), hi)
+        problem = LinearProgram(
+            objective=rng.standard_normal(n),
+            constraint_matrix=a,
+            constraint_senses=(ConstraintSense.EQ,) * a.shape[0],
+            rhs=a @ x0,
+            lower_bounds=lo,
+            upper_bounds=hi,
+            objective_sense=ObjectiveSense.MINIMIZE,
+        )
+        statuses.add(_assert_matches_highs(problem, linprog))
+    assert statuses == {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}
+    assert len(basic) == 40 and min(basic) > 0
+
+
 # ---------------------------------------------------------------------------
 # the membership route against the general simplex
 
 
-def _general(problem, config=None):
+def _general(problem):
     """The general two-phase simplex on any problem, as solve reports it."""
     try:
-        return lp._Simplex(problem, config or SolverConfig()).solve()
+        return lp._Simplex(problem, SolverConfig()).solve()
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"simplex basis solve failed: {exc}") from exc
 
@@ -348,15 +447,15 @@ def _on_floats():
         yield _spy_routes(patch)["floats"]
 
 
-def _assert_floats_match_general(points, p, config=None):
+def _assert_floats_match_general(points, p):
     """The float kernel, forced, answers MembershipProgram(points, p) bit
     for bit as the general simplex answers its LinearProgram.  The
     kernel must run exactly once, so the check cannot pass on the
     general simplex alone."""
     with _on_floats() as shapes:
-        ours = solve(MembershipProgram(points, p), config)
+        ours = solve(MembershipProgram(points, p))
     assert shapes == [np.shape(points)]
-    _assert_same(ours, _general(_membership_problem(points, p), config))
+    _assert_same(ours, _general(_membership_problem(points, p)))
     return ours
 
 
@@ -448,19 +547,21 @@ def test_membership_route_matches_general_unbounded_rays():
             assert (rows @ sol.ray >= -1e-9).all()
 
 
-def test_membership_route_iteration_limit_matches_general():
+def test_membership_route_iteration_limit_matches_general(monkeypatch):
     rng = np.random.default_rng(13)
     points, p = rng.standard_normal((40, 6)), rng.standard_normal(6)
     problem = _membership_problem(points, p)
-    config = SolverConfig(iteration_limit=1)
-    with pytest.raises(IterationLimitError) as theirs:
-        _general(problem, config)
-    with _on_floats() as shapes, pytest.raises(IterationLimitError) as ours:
-        solve(MembershipProgram(points, p), config)
-    assert shapes == [(40, 6)]
-    assert ours.value.iterations == theirs.value.iterations == 2
-    _assert_floats_match_general(
-        points, p, SolverConfig(iteration_limit=_general(problem).iterations))
+    pivots = _general(problem).iterations
+    for budget in (1, pivots - 1):
+        _pivot_budget(monkeypatch, budget, 40, 6)
+        with pytest.raises(IterationLimitError) as theirs:
+            _general(problem)
+        with _on_floats() as shapes, pytest.raises(IterationLimitError) as ours:
+            solve(MembershipProgram(points, p))
+        assert shapes == [(40, 6)]
+        assert ours.value.iterations == theirs.value.iterations == budget + 1
+    _pivot_budget(monkeypatch, pivots, 40, 6)
+    _assert_floats_match_general(points, p)
 
 
 def _probe_points():
@@ -633,7 +734,7 @@ def test_membership_program_sizes():
     assert program.constraint_matrix.dtype == program.objective.dtype == np.float64
 
 
-def _assert_program_matches(points, p, config=None):
+def _assert_program_matches(points, p):
     """A MembershipProgram of points and p answers byte for byte as the
     general simplex answers its LinearProgram, on the route its shape
     picks and with the float kernel forced."""
@@ -642,14 +743,14 @@ def _assert_program_matches(points, p, config=None):
     for forced in (contextlib.nullcontext(), _forced("floats")):
         with forced:
             try:
-                theirs = _general(problem, config)
+                theirs = _general(problem)
             except IterationLimitError as exc:
                 with pytest.raises(IterationLimitError) as ours:
-                    solve(program, config)
+                    solve(program)
                 assert ours.value.iterations == exc.iterations
                 ours = None
                 continue
-            ours = solve(program, config)
+            ours = solve(program)
         _assert_same(ours, theirs)
     return ours
 
@@ -672,10 +773,11 @@ def test_membership_program_matches_both_routes():
     assert statuses == {LpStatus.OPTIMAL, LpStatus.UNBOUNDED}
 
 
-def test_membership_program_iteration_limit_matches():
+def test_membership_program_iteration_limit_matches(monkeypatch):
     rng = np.random.default_rng(13)
     points, p = rng.standard_normal((40, 6)), rng.standard_normal(6)
-    assert _assert_program_matches(points, p, SolverConfig(iteration_limit=1)) is None
+    _pivot_budget(monkeypatch, 1, 40, 6)
+    assert _assert_program_matches(points, p) is None
 
 
 def test_membership_program_takes_the_membership_route(monkeypatch):
