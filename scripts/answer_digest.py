@@ -1,13 +1,13 @@
 """SHA-256 digests of the estimators' answers, to compare two source trees.
 
-Five answer sets are hashed, each with its outcome counts:
+Six answer sets are hashed, each with its outcome counts:
 
 * iterate_until_contained on the masked K4 instance (the complete graph
   on vertices 1..4 plus an isolated vertex 0 whose dyads to 1 and 2 are
   unobserved; edges and triangles; r_target 75, s_test 25, safety
   factor 0.7, at most 10 outer iterations, theta0 = 0) for master seeds
-  0 .. k4-seeds - 1.  Each trace contributes every iterate, multiplier
-  and variance flag and the final theta; a rank-deficient target or an
+  0 .. k4-seeds - 1.  Each trace contributes every iterate and
+  multiplier and the final theta; a rank-deficient target or an
   OptimizationError contributes its message, with the last iterate and
   gradient norm of the latter.
 * exact_mle with edges and triangles on the n = 6 graphs of the
@@ -26,6 +26,15 @@ Five answer sets are hashed, each with its outcome counts:
   sides of the boundary.  A 2500 x 20 uniform cube cloud is queried at
   the all-ones corner, by row generation on the general simplex.  A
   verdict contributes its status, gamma and minimizer.
+* batch.min_scale in the shape of the min-scale command: MIN_SCALE_DRAWS
+  500 x 3 standard normal targets, each against 100 test points drawn
+  from SeedSequence(MIN_SCALE_SEED, spawn_key=(draw,)): 99 standard
+  normal points halved, which fall inside, and, last, the target's
+  farthest row from the centroid moved 0.05% further out, whose factor
+  1 / 1.0005 reads Exterior at the default band and Boundary at 1e-3.  Each target is measured at the
+  default SolverConfig and at boundary_tol 1e-3.  A report contributes
+  min_scale, argmin, the argmin verdict's status and minimizer, and
+  every per-point scale.
 * The sampled likelihood ratio on RATIO_DRAWS draws of two inputs: K4
   samples at theta = 0 (75 unconstrained and 25 masked rows, many
   repeated, the chains seeded by SeedSequence(RATIO_SEED, spawn_key=
@@ -76,12 +85,15 @@ from hullmle import (
     demonstrate_unbounded,
     dyad_pairs,
     exact_mle,
+    SolverConfig,
     iterate_until_contained,
     loglik_ratio_grad,
     loglik_ratio_hat,
     loglik_ratio_hess,
     make_target_set,
+    make_test_set,
     mcmc_sample,
+    min_scale,
     query,
     statistic_histogram,
 )
@@ -124,9 +136,7 @@ def k4_answers(seeds: int):
         except OptimizationError as exc:
             yield f"{seed} {_failure(exc)}", "optimization", f"{seed} optimization"
             continue
-        records = " ".join(
-            f"{_hex(r.theta)}/{_hex(r.multiplier)}/{r.variance_condition_ok}"
-            for r in trace.iterations)
+        records = " ".join(f"{_hex(r.theta)}/{_hex(r.multiplier)}" for r in trace.iterations)
         outcome = "converged" if trace.converged else "not-converged"
         yield (f"{seed} {outcome} {records} -> {_hex(trace.final_theta)}", outcome,
                f"{seed} {outcome} {len(trace.iterations)}")
@@ -178,6 +188,29 @@ def hull_answers(seed: int, draws: int):
                 status = verdict.status.value
                 yield (f"{kind} {draw} {j} {status} {_hex(verdict.gamma)} {minimizer}",
                        status, f"{kind} {draw} {j} {status}")
+
+
+MIN_SCALE_SEED = 0
+MIN_SCALE_DRAWS = 4
+MIN_SCALE_BANDS = (("default", SolverConfig()), ("1e-3", SolverConfig(boundary_tol=1e-3)))
+
+
+def min_scale_answers():
+    """(line, outcome, kind line) per min_scale report, per target and band."""
+    for draw in range(MIN_SCALE_DRAWS):
+        rng = np.random.default_rng(np.random.SeedSequence(MIN_SCALE_SEED, spawn_key=(draw,)))
+        target = make_target_set(rng.standard_normal((500, 3)))
+        farthest = target.points[np.argmax(np.sum(target.points ** 2, axis=1))]
+        points = np.vstack([0.5 * rng.standard_normal((99, 3)),
+                            target.centroid + 1.0005 * farthest])
+        for band, config in MIN_SCALE_BANDS:
+            report = min_scale(target, make_test_set(points), config)
+            verdict = report.argmin_verdict
+            status = verdict.status.value
+            minimizer = "none" if verdict.minimizer is None else _hex(verdict.minimizer)
+            yield (f"{draw} {band} {_hex(report.min_scale)} {report.argmin} {status} "
+                   f"{minimizer} / {_hex(report.per_point_scales)}", status,
+                   f"{draw} {band} {report.argmin} {status}")
 
 
 RATIO_SEED = 0
@@ -291,6 +324,8 @@ def main():
          exact_answers(args.exact_seed, args.exact_ops)),
         (f"hull seed {args.hull_seed} draws 0-{args.hull_draws - 1}",
          hull_answers(args.hull_seed, args.hull_draws)),
+        (f"min_scale seed {MIN_SCALE_SEED} draws 0-{MIN_SCALE_DRAWS - 1}",
+         min_scale_answers()),
         (f"ratio seed {RATIO_SEED} draws 0-{RATIO_DRAWS - 1}", ratio_answers()),
         (f"spaces seed {SPACES_SEED}", space_answers()),
     ):

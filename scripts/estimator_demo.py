@@ -10,12 +10,14 @@ Modest sample sizes keep the first containment multiplier below one,
 which is what makes the rescaled stepping visible in the trace.  The
 price is Monte Carlo noise: single-run estimates scatter around the
 exact maximizer, and an occasional run steps somewhere the sampled
-target statistics collapse in rank (reported, and counted as
-non-converged in the sweep).
+target statistics collapse in rank, or where the step's likelihood
+ascent fails.  The sweep reports each such seed and counts the outcome
+kinds.
 """
 
 import argparse
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from hullmle import (
     EstimatorConfig,
     Graph,
     ObservationMask,
+    OptimizationError,
     StatDef,
     exact_mle,
     iterate_until_contained,
@@ -77,24 +80,34 @@ def main():
 
     print(f"\nsweep over {args.sweep} master seeds:")
     finals = []
+    outcomes = Counter()
     tick = time.perf_counter()
     for seed in range(args.sweep):
         try:
             t = iterate_until_contained(stats, graph, mask, np.zeros(2), config(seed))
         except ValueError as err:
-            print(f"  seed {seed}: non-converged ({err})")
+            if "rank-deficient" not in str(err):
+                raise
+            print(f"  seed {seed}: rank failure ({err})")
+            outcomes["rank failure"] += 1
+            continue
+        except OptimizationError as err:
+            print(f"  seed {seed}: optimization failure ({err})")
+            outcomes["optimization failure"] += 1
             continue
         mark = "converged" if t.converged else "not converged"
         print(
             f"  seed {seed}: theta=({t.final_theta[0]:+.4f}, {t.final_theta[1]:+.4f})  "
             f"{len(t.iterations)} iters, {mark}"
         )
+        outcomes[mark] += 1
         if t.converged:
             finals.append(t.final_theta)
     elapsed = time.perf_counter() - tick
 
     finals = np.array(finals)
     print(f"\nconverged runs: {len(finals)}/{args.sweep}  ({elapsed:.2f}s)")
+    print("outcomes: " + ", ".join(f"{kind} {n}" for kind, n in sorted(outcomes.items())))
     if len(finals) >= 1:
         mean = finals.mean(axis=0)
         print(f"mean final theta:  ({mean[0]:+.4f}, {mean[1]:+.4f})")

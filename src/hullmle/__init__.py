@@ -52,6 +52,7 @@ from .hull import (
     HullStatus,
     HullVerdict,
     OriginalLpResult,
+    SolverConfig,
     TargetSet,
     make_target_set,
     query,
@@ -66,7 +67,6 @@ from .lp import (
     MembershipProgram,
     LpStatus,
     ObjectiveSense,
-    SolverConfig,
     solve,
 )
 

@@ -91,7 +91,6 @@ def min_scale(
     report is assembled by point index either way.  A rank-deficient
     target is rejected outright since every query would be Degenerate.
     """
-    cfg = config or SolverConfig()
     if tests.n_points < 1:
         raise ValueError("test set is empty")
     if target.rank < target.dim:
@@ -100,7 +99,7 @@ def min_scale(
         )
 
     def one(row) -> HullVerdict:
-        return query(target, row, cfg)
+        return query(target, row, config)
 
     first, inverse = numerics.distinct_rows(tests.points)
     rows = list(tests.points[first])

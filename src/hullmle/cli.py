@@ -34,8 +34,7 @@ from .estimate import (
     iterate_until_contained,
 )
 from .expfam import Graph, ObservationMask, StatDef, dyad_pairs, mcmc_sample
-from .hull import HullStatus, make_target_set, query, separating_direction
-from .lp import SolverConfig
+from .hull import HullStatus, SolverConfig, make_target_set, query, separating_direction
 
 EXIT_USAGE = 64
 EXIT_DATA = 65
@@ -432,14 +431,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_solver_flags(parser) -> None:
-    group = parser.add_argument_group("solver tolerances")
-    group.add_argument("--feas-tol", type=float, default=1e-7,
-                       help="feasibility tolerance (default 1e-7)")
-    group.add_argument("--pivot-tol", type=float, default=1e-9,
-                       help="pivot threshold (default 1e-9)")
-    group.add_argument("--boundary-tol", type=float, default=1e-7,
-                       help="relative boundary classification tolerance (default 1e-7)")
+def _add_boundary_flag(parser) -> None:
+    parser.add_argument("--boundary-tol", type=float, default=1e-7,
+                        help="relative boundary classification tolerance (default 1e-7)")
 
 
 def _add_centroid_flag(parser) -> None:
@@ -487,14 +481,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="CSV of target points, one per row")
     p.add_argument("point", help="CSV with the single point to classify")
     _add_centroid_flag(p)
-    _add_solver_flags(p)
+    _add_boundary_flag(p)
     p.set_defaults(func=cmd_hull_test)
 
     p = sub.add_parser("min-scale", help="least boundary scaling over a test set")
     p.add_argument("target", help="CSV of target points")
     p.add_argument("tests", help="CSV of test points")
     _add_centroid_flag(p)
-    _add_solver_flags(p)
+    _add_boundary_flag(p)
     p.set_defaults(func=cmd_min_scale)
 
     p = sub.add_parser("prune-curve", help="min scale as the target is pruned")
@@ -503,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", default=_DEFAULT_FRACTIONS,
                    help=f"comma list of keep fractions (default {_DEFAULT_FRACTIONS})")
     _add_centroid_flag(p)
-    _add_solver_flags(p)
+    _add_boundary_flag(p)
     p.set_defaults(func=cmd_prune_curve)
 
     p = sub.add_parser("estimate", help="containment-driven parameter stepping")
@@ -518,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=_int_at_least(1), default=20,
                    help="outer iteration cap (default 20)")
     _add_sampler_flags(p)
-    _add_solver_flags(p)
+    _add_boundary_flag(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("demo-unbounded",
@@ -530,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", default="1,2,4,8,16",
                    help="comma list of ray multiples (default 1,2,4,8,16)")
     _add_sampler_flags(p)
-    _add_solver_flags(p)
+    _add_boundary_flag(p)
     p.set_defaults(func=cmd_demo_unbounded)
 
     return parser
@@ -544,12 +538,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        config = _usage_checked(
-            SolverConfig,
-            feas_tol=args.feas_tol,
-            pivot_tol=args.pivot_tol,
-            boundary_tol=args.boundary_tol,
-        )
+        config = _usage_checked(SolverConfig, boundary_tol=args.boundary_tol)
         result, code = args.func(args, config)
         manifest = {
             "command": args.command,

@@ -104,18 +104,10 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """State recorded before each re-estimation step.
-
-    variance_condition_ok reports whether the sampled target covariance
-    exceeds the test covariance in the positive-definite order, the
-    known sufficient condition for the ratio surface to have a
-    maximizer; it is informational only and never gates the loop.  None
-    when either sample is too small to estimate a covariance.
-    """
+    """State recorded before each re-estimation step."""
 
     theta: np.ndarray
     multiplier: float
-    variance_condition_ok: bool | None
 
 
 @dataclass(frozen=True)
@@ -233,9 +225,20 @@ def _vector_of_width(x, name: str, width: int) -> np.ndarray:
     return vector
 
 
+def _evaluated(evaluate, dtheta: np.ndarray, where: str):
+    """evaluate(dtheta), raising ValueError naming where if its value is
+    NaN, as when dtheta overflows an exponent; numpy stays quiet."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = evaluate(dtheta)
+    if math.isnan(result[0]):
+        raise ValueError(f"the estimate at {where} is NaN: the exponent overflows")
+    return result
+
+
 def _ratio_at(dtheta, g_y, g_z, scale: float):
     evaluate, y_rows, _ = _ratio_surface(g_y, g_z, scale)
-    return evaluate(_vector_of_width(dtheta, "dtheta", y_rows.shape[1]))
+    dt = _vector_of_width(dtheta, "dtheta", y_rows.shape[1])
+    return _evaluated(evaluate, dt, f"dtheta {dt.tolist()}")
 
 
 def loglik_ratio_hat(dtheta, g_y, g_z, scale: float = 1.0) -> float:
@@ -245,7 +248,9 @@ def loglik_ratio_hat(dtheta, g_y, g_z, scale: float = 1.0) -> float:
     Both terms are log-mean-exp over sample rows; scale multiplies the
     constrained rows only, which is exactly how the hull-derived factor
     shrinks the test sample toward the target centroid when both inputs
-    are centered by the unconstrained column mean.
+    are centered by the unconstrained column mean.  A dtheta so large
+    that the estimate is NaN raises ValueError naming it; so do
+    loglik_ratio_grad and loglik_ratio_hess.
     """
     return _ratio_at(dtheta, g_y, g_z, scale)[0]
 
@@ -283,12 +288,7 @@ def demonstrate_unbounded(g_y, g_z, direction, alphas) -> list[float]:
         raise ValueError(
             "direction does not separate the test rows from the target rows"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = [evaluate(alpha * z)[0] for alpha in alphas]
-    for alpha, value in zip(alphas, values):
-        if math.isnan(value):
-            raise ValueError(f"the estimate at alpha {alpha!r} is NaN: the exponent overflows")
-    return values
+    return [_evaluated(evaluate, alpha * z, f"alpha {alpha!r}")[0] for alpha in alphas]
 
 
 def rescaled_step(theta0, g_y, g_z, scale: float, cfg: EstimatorConfig) -> np.ndarray:
@@ -304,16 +304,6 @@ def rescaled_step(theta0, g_y, g_z, scale: float, cfg: EstimatorConfig) -> np.nd
     evaluate, y_rows, _ = _ratio_surface(g_y, g_z, cfg.safety_factor * scale)
     theta = _vector_of_width(theta0, "theta0", y_rows.shape[1])
     return theta + _ascend(evaluate, np.zeros(theta.size), GRADIENT_TOL)
-
-
-def _variance_condition(y_rows: np.ndarray, z_rows: np.ndarray) -> bool | None:
-    if y_rows.shape[0] < 2 or z_rows.shape[0] < 2:
-        return None
-    try:
-        difference = numerics.covariance(y_rows) - numerics.covariance(z_rows)
-        return bool(np.linalg.eigvalsh(difference).min() > 0.0)
-    except np.linalg.LinAlgError:
-        return None
 
 
 def _estimation_mask(y_obs: Graph, mask: ObservationMask | None) -> ObservationMask:
@@ -370,13 +360,7 @@ def iterate_until_contained(
                          rank=target.rank)
         report = min_scale(hull, make_test_set(sample_z.rows), cfg.solver)
         multiplier = report.min_scale
-        records.append(
-            IterationRecord(
-                theta=theta.copy(),
-                multiplier=multiplier,
-                variance_condition_ok=_variance_condition(sample_y.rows, sample_z.rows),
-            )
-        )
+        records.append(IterationRecord(theta=theta.copy(), multiplier=multiplier))
 
         if multiplier >= cfg.stop_threshold:
             converged = True

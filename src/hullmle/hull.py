@@ -29,23 +29,28 @@ rule and the certificate, so the answer is that of the full LP.
 Smaller targets take the same loop with every row active, which is one
 solve.  The legacy box-constrained formulation and the dual weight
 formulation (both on every row) are kept as cross-checks.
+
+A query has one setting, SolverConfig.boundary_tol: the relative
+half-width of the band about gamma = 1 that reads Boundary.  The LP's
+own numerics are lp's constants FEAS_TOL and PIVOT_TOL; FEAS_TOL also
+sets how close to the reference a test point reads as the reference.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import numerics
+from . import lp, numerics
 from .lp import (
     ConstraintSense,
     LinearProgram,
     LpStatus,
     MembershipProgram,
     ObjectiveSense,
-    SolverConfig,
     dual_of_membership,
     solve,
 )
@@ -76,6 +81,21 @@ class HullStatus(enum.Enum):
     BOUNDARY = "Boundary"
     EXTERIOR = "Exterior"
     DEGENERATE = "Degenerate"
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """boundary_tol, the relative half-width of the band about gamma = 1
+    whose verdicts read Boundary.  It is the one tolerance a caller sets;
+    the LP's are lp.FEAS_TOL and lp.PIVOT_TOL."""
+
+    boundary_tol: float = 1e-7
+
+    def __post_init__(self) -> None:
+        if not self.boundary_tol > 0.0:
+            raise ValueError("boundary_tol must be positive")
+        if not math.isfinite(self.boundary_tol):
+            raise ValueError("boundary_tol must be finite")
 
 
 @dataclass(frozen=True)
@@ -172,8 +192,9 @@ def _centered_point(target: TargetSet, point) -> np.ndarray:
     return p - target.centroid
 
 
-def _classify(gamma: float, cfg: SolverConfig) -> HullStatus:
-    if abs(gamma - 1.0) <= cfg.boundary_tol * (1.0 + abs(gamma)):
+def _classify(gamma: float, config: SolverConfig | None) -> HullStatus:
+    tol = (config or SolverConfig()).boundary_tol
+    if abs(gamma - 1.0) <= tol * (1.0 + abs(gamma)):
         return HullStatus.BOUNDARY
     return HullStatus.INTERIOR if gamma > 1.0 else HullStatus.EXTERIOR
 
@@ -190,13 +211,13 @@ def _seed_rows(points: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([top, extremes]))
 
 
-def _solve_by_rows(points: np.ndarray, p: np.ndarray, cfg: SolverConfig):
+def _solve_by_rows(points: np.ndarray, p: np.ndarray):
     """Membership LP over every row of points, solved on an active set.
 
     Each round solves the LP restricted to the active rows, starting
     from _seed_rows.  An Optimal minimizer z is checked against every
     inactive row with the allowance of the solver's own feasibility
-    check on the active ones, 1 + M z >= -2 feas_tol; an Unbounded ray r
+    check on the active ones, 1 + M z >= -2 FEAS_TOL; an Unbounded ray r
     against every inactive row for M r < 0, which cuts it off.  Up to 2d
     of the worst inactive rows join the active set and the loop repeats.
     When none is left the round's answer is the full LP's: a minimizer
@@ -209,10 +230,10 @@ def _solve_by_rows(points: np.ndarray, p: np.ndarray, cfg: SolverConfig):
     m, d = points.shape
     while True:
         if active.size == m:
-            return solve(MembershipProgram(points, p), cfg)
-        sol = solve(MembershipProgram(points[active], p), cfg)
+            return solve(MembershipProgram(points, p))
+        sol = solve(MembershipProgram(points[active], p))
         if sol.status is LpStatus.OPTIMAL:
-            score, allowed = 1.0 + points @ sol.primal, -2.0 * cfg.feas_tol
+            score, allowed = 1.0 + points @ sol.primal, -2.0 * lp.FEAS_TOL
         elif sol.status is LpStatus.UNBOUNDED:
             score, allowed = points @ sol.ray, 0.0
         else:
@@ -231,8 +252,8 @@ def query(target: TargetSet, point, config: SolverConfig | None = None) -> HullV
 
     Returns Degenerate (never raises) when the target rows do not span
     the ambient space or the membership LP is unbounded.  A test point
-    within feas_tol of the reference reports Interior with infinite
-    gamma and no boundary point.
+    within lp.FEAS_TOL of the reference reports Interior with infinite
+    gamma and no boundary point.  config sets only the Boundary band.
 
     A target with at most ROW_GENERATION_FACTOR * d rows is solved in
     one LP over all of its rows.  A larger one is solved by row
@@ -242,14 +263,13 @@ def query(target: TargetSet, point, config: SolverConfig | None = None) -> HullV
     certifies it for the full LP; an unbounded round adds the rows that
     cut off its ray.
     """
-    cfg = config or SolverConfig()
     p = _centered_point(target, point)
-    if np.abs(p).max() <= cfg.feas_tol:
+    if np.abs(p).max() <= lp.FEAS_TOL:
         return HullVerdict(HullStatus.INTERIOR, np.inf, None, None)
     if target.rank < target.dim:
         return HullVerdict(HullStatus.DEGENERATE, np.inf, None, None)
 
-    sol = _solve_by_rows(target.points, p, cfg)
+    sol = _solve_by_rows(target.points, p)
     if sol.status is LpStatus.UNBOUNDED:
         return HullVerdict(HullStatus.DEGENERATE, np.inf, None, None)
     if sol.status is not LpStatus.OPTIMAL:
@@ -261,15 +281,13 @@ def query(target: TargetSet, point, config: SolverConfig | None = None) -> HullV
         return HullVerdict(HullStatus.INTERIOR, np.inf, None, None)
 
     gamma = -1.0 / v
-    status = _classify(gamma, cfg)
+    status = _classify(gamma, config)
     boundary = gamma * p + target.centroid
     hyperplane = (1.0, sol.primal) if status is HullStatus.EXTERIOR else None
     return HullVerdict(status, gamma, boundary, hyperplane, minimizer=sol.primal)
 
 
-def query_original_lp(
-    target: TargetSet, point, config: SolverConfig | None = None
-) -> OriginalLpResult:
+def query_original_lp(target: TargetSet, point) -> OriginalLpResult:
     """Box-constrained membership probe.
 
     Minimizes z0 + p'z subject to z0 + M z >= 0 with each z coordinate
@@ -284,7 +302,6 @@ def query_original_lp(
     target phase one exhausts the default pivot budget and raises
     IterationLimitError after 151,051 pivots.
     """
-    cfg = config or SolverConfig()
     p = _centered_point(target, point)
     m, d = target.points.shape
     problem = LinearProgram(
@@ -296,7 +313,7 @@ def query_original_lp(
         lower_bounds=np.concatenate([[-np.inf], -np.ones(d)]),
         upper_bounds=np.concatenate([[np.inf], np.ones(d)]),
     )
-    sol = solve(problem, cfg)
+    sol = solve(problem)
     if sol.status is not LpStatus.OPTIMAL:
         raise ArithmeticError(f"box-constrained membership LP returned {sol.status}")
     return OriginalLpResult(
@@ -312,19 +329,18 @@ def query_dual(
     Maximizes -sum(y) over y >= 0 with M'y equal to the centered test
     point.  An optimum of at least -1 puts the point in the closed hull;
     infeasibility means no nonnegative row combination reaches it, which
-    is reported as Degenerate.
+    is reported as Degenerate.  config sets only the Boundary band.
     """
-    cfg = config or SolverConfig()
     p = _centered_point(target, point)
-    if np.abs(p).max() <= cfg.feas_tol:
+    if np.abs(p).max() <= lp.FEAS_TOL:
         return DualReport(HullStatus.INTERIOR, None, None)
-    sol = solve(dual_of_membership(MembershipProgram(target.points, p)), cfg)
+    sol = solve(dual_of_membership(MembershipProgram(target.points, p)))
     if sol.status is LpStatus.INFEASIBLE:
         return DualReport(HullStatus.DEGENERATE, None, None)
     if sol.status is not LpStatus.OPTIMAL:
         raise ArithmeticError(f"dual membership LP returned {sol.status}")
     gamma = -1.0 / sol.objective_value if sol.objective_value < 0.0 else np.inf
-    status = _classify(gamma, cfg) if np.isfinite(gamma) else HullStatus.INTERIOR
+    status = _classify(gamma, config) if np.isfinite(gamma) else HullStatus.INTERIOR
     return DualReport(status, sol.objective_value, sol.primal)
 
 

@@ -48,6 +48,11 @@ Pivoting is deterministic: Dantzig's rule with lowest-index tie breaks,
 switching permanently to Bland's rule after 3 (m + n) consecutive
 degenerate pivots.  Solving the same problem twice gives bit-identical
 results.
+
+The solver's numerics are module constants, not options.  A solution
+may violate row i by FEAS_TOL (1 + |b_i|).  A ratio-test rate counts
+past PIVOT_TOL, a reduced cost past PIVOT_TOL (1 + the largest cost).
+The pivot budget is ITERATION_LIMIT_FACTOR (rows + columns).
 """
 
 from __future__ import annotations
@@ -67,7 +72,6 @@ __all__ = [
     "LpStatus",
     "LinearProgram",
     "MembershipProgram",
-    "SolverConfig",
     "LpSolution",
     "IterationLimitError",
     "solve",
@@ -77,6 +81,11 @@ __all__ = [
 ITERATION_LIMIT_FACTOR = 50
 DEGENERATE_SWITCH_FACTOR = 3
 DEGENERATE_STEP = 1e-12
+
+# Feasibility and pivot tolerances (see the module docstring), read at
+# each solve.
+FEAS_TOL = 1e-7
+PIVOT_TOL = 1e-9
 
 
 class ObjectiveSense(enum.Enum):
@@ -104,28 +113,6 @@ class IterationLimitError(RuntimeError):
     def __init__(self, iterations: int) -> None:
         super().__init__(f"simplex iteration limit reached after {iterations} pivots")
         self.iterations = iterations
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Numerical knobs shared by the solver and the hull queries.
-
-    feas_tol      absolute tolerance on constraint residuals
-    pivot_tol     smallest pivot magnitude accepted during ratio tests
-    boundary_tol  relative half-width of the boundary band in hull verdicts
-    """
-
-    feas_tol: float = 1e-7
-    pivot_tol: float = 1e-9
-    boundary_tol: float = 1e-7
-
-    def __post_init__(self) -> None:
-        for name in ("feas_tol", "pivot_tol", "boundary_tol"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive")
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -245,8 +232,7 @@ def _sense_codes(senses: tuple) -> np.ndarray | None:
 class _Simplex:
     """One solve; columns are [structural | slack | artificial]."""
 
-    def __init__(self, problem: LinearProgram, config: SolverConfig) -> None:
-        self.cfg = config
+    def __init__(self, problem: LinearProgram) -> None:
         self.A = problem.constraint_matrix
         self.b = problem.rhs
         self.m, self.n = self.A.shape
@@ -380,7 +366,7 @@ class _Simplex:
         score[free] = np.abs(d[free])
         score[self.lo[: n + m] == self.hi[: n + m]] = 0.0  # fixed columns never move
 
-        tol = self.cfg.pivot_tol * (1.0 + np.abs(costs).max())
+        tol = PIVOT_TOL * (1.0 + np.abs(costs).max())
         eligible = score > tol
         if not eligible.any():
             return None
@@ -395,7 +381,7 @@ class _Simplex:
         """Smallest step that drives a basic variable to one of its bounds,
         with lowest-column-index tie breaks.  Returns (t, leaving column,
         bound hit) or (t_flip, -1, flip) or None when no step blocks."""
-        tol = self.cfg.pivot_tol
+        tol = PIVOT_TOL
         cols = np.concatenate([s_cols, self.unit_col[u_rows]])
         vals = np.concatenate([x_s, unit_vals[u_rows]])
         rates = np.concatenate([-sigma * w_s, -sigma * w_u[u_rows]])
@@ -493,7 +479,7 @@ class _Simplex:
                 comp = self.A[i, :] / coef
             entering = -1
             for j in range(self.n):
-                if self.status[j] != _BASIC and abs(comp[j]) > self.cfg.pivot_tol:
+                if self.status[j] != _BASIC and abs(comp[j]) > PIVOT_TOL:
                     entering = j
                     break
             if entering < 0:
@@ -513,7 +499,7 @@ class _Simplex:
             _, unit_vals = self._basic_values(w_rows, s_cols, a_cols, u_rows)
             art_basic = u_rows[self.unit_col[u_rows] >= n + m]
             infeas = float(np.abs(unit_vals[art_basic]).sum()) if art_basic.size else 0.0
-            if infeas > self.cfg.feas_tol:
+            if infeas > FEAS_TOL:
                 return LpSolution(LpStatus.INFEASIBLE, None, None, self.iterations)
             self._evict_artificials()
             self.lo[n + m :] = 0.0
@@ -541,7 +527,7 @@ class _Simplex:
         resid = self.b - self.A @ x
         lo = self.lo[self.n : self.n + self.m]
         hi = self.hi[self.n : self.n + self.m]
-        allowance = self.cfg.feas_tol * (1.0 + np.abs(self.b))
+        allowance = FEAS_TOL * (1.0 + np.abs(self.b))
         bad = (resid < lo - allowance) | (resid > hi + allowance)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
@@ -638,7 +624,7 @@ def _lu_solve_transposed(lu: list, order: list, v: list) -> list:
     return y
 
 
-def _membership_floats(A, c, cfg: SolverConfig) -> LpSolution:
+def _membership_floats(A, c) -> LpSolution:
     """Phase two of _Simplex on the membership LP min c'z subject to
     A z >= -1 with z free, for small problems, on Python floats.
 
@@ -668,7 +654,7 @@ def _membership_floats(A, c, cfg: SolverConfig) -> LpSolution:
     limit = ITERATION_LIMIT_FACTOR * (m + n)
     switch = DEGENERATE_SWITCH_FACTOR * (m + n)
     step = DEGENERATE_STEP
-    rate_tol = cfg.pivot_tol
+    rate_tol = PIVOT_TOL
     tol = rate_tol * (1.0 + max(map(abs, cost)))
     s_cols: list[int] = []  # basic structurals, sorted
     w_rows: list[int] = []  # rows whose slack left the basis, sorted
@@ -717,7 +703,7 @@ def _membership_floats(A, c, cfg: SolverConfig) -> LpSolution:
             w_s = _lu_solve(lu, order, [float(i == e - n) for i in w_rows])
 
         # Ratio test: a basic slack whose rate -sigma (a_e - A_s w_s)
-        # rises past pivot_tol blocks at 0, after (0 - slack) / rate.
+        # rises past PIVOT_TOL blocks at 0, after (0 - slack) / rate.
         a_w, a_x = [0.0] * m, [0.0] * m
         for j, w, x in zip(s_cols, w_s, x_s):
             col = cols[j]
@@ -765,12 +751,12 @@ def _membership_floats(A, c, cfg: SolverConfig) -> LpSolution:
             w_rows.remove(e - n)
 
     # block holds A[w_rows][:, s_cols] exactly, as Python floats hold
-    # float64.  With rhs -1 each row allows feas_tol (1 + 1).
+    # float64.  With rhs -1 each row allows FEAS_TOL (1 + 1).
     x = np.zeros(n)
     if k:
         x[s_cols] = np.linalg.solve(np.array(block), np.full(k, -1.0))
     resid = -1.0 - A @ x
-    bad = resid > cfg.feas_tol * 2.0
+    bad = resid > FEAS_TOL * 2.0
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise ArithmeticError(
@@ -793,9 +779,7 @@ def _membership_linear_program(program: MembershipProgram) -> LinearProgram:
     )
 
 
-def solve(
-    problem: LinearProgram | MembershipProgram, config: SolverConfig | None = None
-) -> LpSolution:
+def solve(problem: LinearProgram | MembershipProgram) -> LpSolution:
     """Solve a dense LP; deterministic for identical inputs.
 
     A MembershipProgram with at most 5 columns and 200 entries takes the
@@ -813,13 +797,12 @@ def solve(
     """
     if not isinstance(problem, (LinearProgram, MembershipProgram)):
         raise TypeError("problem must be a LinearProgram or a MembershipProgram")
-    cfg = config or SolverConfig()
     try:
         if isinstance(problem, MembershipProgram):
             if _runs_on_floats(problem.n_rows, problem.n_cols):
-                return _membership_floats(problem.constraint_matrix, problem.objective, cfg)
+                return _membership_floats(problem.constraint_matrix, problem.objective)
             problem = _membership_linear_program(problem)
-        return _Simplex(problem, cfg).solve()
+        return _Simplex(problem).solve()
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"simplex basis solve failed: {exc}") from exc
 

@@ -13,8 +13,8 @@ import itertools
 
 import numpy as np
 
-from hullmle.hull import HullStatus, HullVerdict, make_target_set, query
-from hullmle.lp import SolverConfig
+from hullmle.hull import HullStatus, HullVerdict, SolverConfig, make_target_set, query
+from hullmle.lp import FEAS_TOL
 
 # Relative gamma agreement required of transformed queries.
 TRANSFORM_GAMMA_RTOL = 1e-7
@@ -103,7 +103,7 @@ def oracle_2d(target, point, config: SolverConfig | None = None) -> HullVerdict:
     if target.rank < 2:
         raise ValueError("planar oracle requires full-rank targets")
     p = _centered(target, point)
-    if np.abs(p).max() <= cfg.feas_tol:
+    if np.abs(p).max() <= FEAS_TOL:
         return HullVerdict(HullStatus.INTERIOR, np.inf, None, None)
 
     poly = _monotone_chain(target.points)

@@ -252,19 +252,6 @@ def test_min_scale_document(triangle_file, tmp_path, capsys):
     assert result["targetPointsUsed"] == 3
 
 
-def test_min_scale_echoes_solver_tolerances(triangle_file, tmp_path, capsys):
-    tests = write_tests(tmp_path)
-    _, default_out, _ = run(capsys, "min-scale", triangle_file, tests)
-    code, out, _ = run(capsys, "min-scale", triangle_file, tests,
-                       "--feas-tol", "1e-6", "--pivot-tol", "1e-10")
-    assert code == 1
-    doc = parse_document(out)
-    parameters = doc["manifest"]["parameters"]
-    assert parameters["feas_tol"] == 1e-6
-    assert parameters["pivot_tol"] == 1e-10
-    assert doc["result"] == parse_document(default_out)["result"]
-
-
 def test_min_scale_deterministic_modulo_duration(triangle_file, tmp_path, capsys):
     tests = write_tests(tmp_path)
     _, first, _ = run(capsys, "min-scale", triangle_file, tests)
@@ -350,14 +337,14 @@ def test_prune_curve_rejects_bad_fractions(triangle_file, tmp_path, capsys):
     ("estimate", ("--safety-factor", "2"), "safety factor must be in (0, 1)"),
     ("estimate", ("--r-target", "0"), "--r-target: must be an integer of at least 1"),
     ("estimate", ("--interval", "0"), "--interval: must be an integer of at least 1"),
-    ("min-scale", ("--feas-tol", "-1"), "feas_tol must be positive"),
-    ("min-scale", ("--feas-tol", "inf"), "feas_tol must be finite"),
+    ("min-scale", ("--boundary-tol", "-1"), "boundary_tol must be positive"),
+    ("min-scale", ("--boundary-tol", "inf"), "boundary_tol must be finite"),
     ("demo-unbounded", ("--r-target", "0"), "--r-target: must be an integer of at least 1"),
     ("estimate", ("--seed", "-1"), "--seed: must be an integer of at least 0, got '-1'"),
     ("estimate", ("--seed", "2.5"), "--seed: must be an integer of at least 0, got '2.5'"),
     ("demo-unbounded", ("--seed", "-1"), "--seed: must be an integer of at least 0"),
 ], ids=["fractions", "no-fractions", "safety-factor", "estimate-r-target",
-        "interval", "feas-tol", "feas-tol-inf", "demo-r-target", "estimate-negative-seed",
+        "interval", "boundary-tol", "boundary-tol-inf", "demo-r-target", "estimate-negative-seed",
         "estimate-fractional-seed", "demo-negative-seed"])
 def test_out_of_range_flag_values_are_usage_errors(
         triangle_file, tmp_path, k4_files, capsys, command, argv, message):
@@ -368,6 +355,21 @@ def test_out_of_range_flag_values_are_usage_errors(
     code, _, err = run(capsys, command, *files, *argv)
     assert code == 64
     assert message in err
+
+
+@pytest.mark.parametrize("flag", ["--feas-tol", "--pivot-tol"])
+@pytest.mark.parametrize("command", ["hull-test", "min-scale", "prune-curve", "estimate",
+                                     "demo-unbounded"])
+def test_lp_tolerance_flags_are_usage_errors(
+        triangle_file, tmp_path, k4_files, capsys, command, flag):
+    # The LP's tolerances are constants; --boundary-tol is the one left.
+    files = {"hull-test": (triangle_file, point_file(tmp_path, "p.csv", [0.5, 0.0])),
+             "min-scale": (triangle_file, write_tests(tmp_path)),
+             "prune-curve": (triangle_file, write_tests(tmp_path))}.get(command, k4_files)
+    code, out, err = run(capsys, command, *files, flag, "1e-7")
+    assert code == 64
+    assert out == ""
+    assert flag in err
 
 
 # ---------------------------------------------------------------------------

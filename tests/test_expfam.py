@@ -765,6 +765,18 @@ def test_ratio_scale_must_be_finite_and_positive(ratio, scale):
         ratio(np.zeros(2), rows, rows, scale=scale)
 
 
+@pytest.mark.parametrize("ratio", [loglik_ratio_hat, loglik_ratio_grad, loglik_ratio_hess],
+                         ids=lambda ratio: ratio.__name__)
+def test_ratio_names_a_dtheta_whose_estimate_is_nan(ratio):
+    # At dtheta = (1e308, 1e308) the exponents overflow and the estimate
+    # is NaN, as on demonstrate_unbounded's ray; no RuntimeWarning escapes.
+    ys = np.array([[0.0, 0.0], [1.0, 0.5], [0.5, 1.0]])
+    zs = np.array([[2.0, 2.0], [1.5, 1.8]])
+    assert np.isfinite(ratio(np.array([1.0, 1.0]), ys, zs)).all()
+    with pytest.raises(ValueError, match=r"dtheta \[1e\+308, 1e\+308\] is NaN"):
+        ratio(np.array([1e308, 1e308]), ys, zs)
+
+
 def test_ratio_grad_matches_finite_differences():
     rng = np.random.default_rng(33)
     ys = rng.standard_normal((40, 2))

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from hullmle.hull import (
     HullStatus,
+    SolverConfig,
     make_target_set,
     query,
     query_dual,
     query_original_lp,
     separating_direction,
 )
-from hullmle.lp import SolverConfig
+from hullmle.lp import FEAS_TOL
 
 from conftest import random_target
 from oracles import (
@@ -138,7 +139,7 @@ def test_boxed_objective_zero_iff_member(triangle):
         res = query_original_lp(triangle, p)
         gamma = query(triangle, p).gamma
         member = gamma >= 1.0 - config.boundary_tol
-        assert (abs(res.objective) <= config.feas_tol) == member
+        assert (abs(res.objective) <= FEAS_TOL) == member
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hullmle import lp
 from hullmle.estimate import EstimatorConfig, iterate_until_contained
 from hullmle.expfam import StatDef, mcmc_sample
+from hullmle.hull import SolverConfig
 from hullmle.lp import (
     ConstraintSense,
     IterationLimitError,
@@ -18,7 +19,6 @@ from hullmle.lp import (
     LpStatus,
     MembershipProgram,
     ObjectiveSense,
-    SolverConfig,
     dual_of_membership,
     solve,
 )
@@ -40,7 +40,7 @@ def _simple_lp():
 
 
 def test_bounded_optimum():
-    sol = solve(_simple_lp(), SolverConfig())
+    sol = solve(_simple_lp())
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
     assert sol.primal.sum() == pytest.approx(1.0, abs=1e-9)
@@ -56,7 +56,7 @@ def test_unbounded_detection():
         upper_bounds=np.array([np.inf]),
         objective_sense=ObjectiveSense.MINIMIZE,
     )
-    sol = solve(problem, SolverConfig())
+    sol = solve(problem)
     assert sol.status is LpStatus.UNBOUNDED
     assert sol.ray is not None
     # The ray must be a recession direction: feasible and improving.
@@ -74,7 +74,7 @@ def test_infeasible_detection():
         upper_bounds=np.array([np.inf]),
         objective_sense=ObjectiveSense.MINIMIZE,
     )
-    sol = solve(problem, SolverConfig())
+    sol = solve(problem)
     assert sol.status is LpStatus.INFEASIBLE
 
 
@@ -89,7 +89,7 @@ def test_equality_constraints_hold():
         upper_bounds=np.full(2, np.inf),
         objective_sense=ObjectiveSense.MINIMIZE,
     )
-    sol = solve(problem, SolverConfig())
+    sol = solve(problem)
     assert sol.status is LpStatus.OPTIMAL
     assert np.allclose(sol.primal, [2.0, 1.0], atol=1e-9)
 
@@ -105,7 +105,7 @@ def test_free_variables_supported():
         upper_bounds=np.full(2, np.inf),
         objective_sense=ObjectiveSense.MINIMIZE,
     )
-    sol = solve(problem, SolverConfig())
+    sol = solve(problem)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(-5.0, abs=1e-9)
 
@@ -120,7 +120,7 @@ def test_max_sense_negates_correctly():
         upper_bounds=np.full(2, np.inf),
         objective_sense=ObjectiveSense.MAXIMIZE,
     )
-    sol = solve(problem, SolverConfig())
+    sol = solve(problem)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
 
@@ -136,7 +136,7 @@ def test_variable_bounds_respected():
         upper_bounds=np.array([1.0]),
         objective_sense=ObjectiveSense.MINIMIZE,
     )
-    sol = solve(problem, SolverConfig())
+    sol = solve(problem)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.primal[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -201,7 +201,7 @@ def test_dual_of_membership_shape_and_signs():
     # Multipliers are nonnegative, one per target point.
     assert dual.lower_bounds.shape == (8,)
     assert np.all(dual.lower_bounds == 0.0)
-    sol = solve(dual, SolverConfig())
+    sol = solve(dual)
     if sol.status is LpStatus.OPTIMAL:
         recombined = points.T @ sol.primal
         assert np.allclose(recombined, p, atol=1e-7)
@@ -210,8 +210,8 @@ def test_dual_of_membership_shape_and_signs():
 def test_solver_is_deterministic():
     rng = np.random.default_rng(11)
     problem = MembershipProgram(rng.standard_normal((30, 4)), rng.standard_normal(4))
-    a = solve(problem, SolverConfig())
-    b = solve(problem, SolverConfig())
+    a = solve(problem)
+    b = solve(problem)
     assert a.status is b.status
     assert np.array_equal(a.primal, b.primal)
     assert a.objective_value == b.objective_value
@@ -235,34 +235,35 @@ def test_iteration_limit_raises(monkeypatch):
     assert exc.value.iterations == 2
 
 
-@pytest.mark.parametrize("name", ["feas_tol", "pivot_tol", "boundary_tol"])
 @pytest.mark.parametrize("value, message", [
     (math.inf, "must be finite"),
     (math.nan, "must be positive"),
     (0.0, "must be positive"),
 ])
-def test_solver_config_rejects_tolerances_that_are_not_finite_and_positive(
-        name, value, message):
-    with pytest.raises(ValueError, match=f"{name} {message}"):
-        SolverConfig(**{name: value})
+def test_solver_config_rejects_tolerances_that_are_not_finite_and_positive(value, message):
+    with pytest.raises(ValueError, match=f"boundary_tol {message}"):
+        SolverConfig(boundary_tol=value)
 
 
-def test_solver_config_holds_the_three_tolerances():
+def test_solver_config_holds_only_the_boundary_tolerance():
+    # The LP's tolerances are lp constants; the one setting a caller
+    # makes is the Boundary band, and it lives with the verdicts in hull.
     names = [f.name for f in dataclasses.fields(SolverConfig)]
-    assert names == ["feas_tol", "pivot_tol", "boundary_tol"]
+    assert names == ["boundary_tol"]
+    assert not hasattr(lp, "SolverConfig")
+    assert (lp.FEAS_TOL, lp.PIVOT_TOL) == (1e-7, 1e-9)
 
 
 def test_solution_feasibility_on_random_instances():
     rng = np.random.default_rng(17)
-    config = SolverConfig()
     for _ in range(40):
         r = int(rng.integers(3, 25))
         d = int(rng.integers(2, 6))
         points = rng.standard_normal((r, d))
         p = rng.standard_normal(d)
-        sol = solve(MembershipProgram(points, p), config)
+        sol = solve(MembershipProgram(points, p))
         if sol.status is LpStatus.OPTIMAL:
-            assert np.all(points @ sol.primal >= -1.0 - config.feas_tol)
+            assert np.all(points @ sol.primal >= -1.0 - lp.FEAS_TOL)
 
 
 @pytest.mark.parametrize("senses", [
@@ -389,7 +390,7 @@ def test_redundant_equality_rows_evict_artificials_as_highs_agrees(monkeypatch):
 def _general(problem):
     """The general two-phase simplex on any problem, as solve reports it."""
     try:
-        return lp._Simplex(problem, SolverConfig()).solve()
+        return lp._Simplex(problem).solve()
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(f"simplex basis solve failed: {exc}") from exc
 
@@ -425,14 +426,14 @@ def _spy_routes(monkeypatch):
     seen = {"floats": [], "simplex": []}
     floats = lp._membership_floats
 
-    def spy(A, c, cfg):
+    def spy(A, c):
         seen["floats"].append(A.shape)
-        return floats(A, c, cfg)
+        return floats(A, c)
 
     class Simplex(lp._Simplex):
-        def __init__(self, problem, config):
+        def __init__(self, problem):
             seen["simplex"].append(problem.constraint_matrix.shape)
-            super().__init__(problem, config)
+            super().__init__(problem)
 
     monkeypatch.setattr(lp, "_membership_floats", spy)
     monkeypatch.setattr(lp, "_Simplex", Simplex)
@@ -494,7 +495,7 @@ def test_membership_route_matches_general_on_ergm_clouds(monkeypatch, bland_at_o
         for _ in range(4):
             p = rng.standard_normal(3) * spread * rng.uniform(0.2, 3.0)
             statuses.add(_assert_floats_match_general(rows, p).status)
-            general = lp._Simplex(_membership_problem(rows, p), SolverConfig())
+            general = lp._Simplex(_membership_problem(rows, p))
             general.solve()
             switched += general.bland
     assert statuses == {LpStatus.OPTIMAL}
@@ -518,7 +519,7 @@ def test_bland_rule_matches_general_with_structurals_left_to_enter(monkeypatch, 
             p = rng.uniform(-1.0, 1.0, d)
             p[0] = 3.0
             _assert_floats_match_general(rows, p)
-            general = lp._Simplex(_membership_problem(rows, p), SolverConfig())
+            general = lp._Simplex(_membership_problem(rows, p))
             general.solve()
             switched += general.bland
     assert switched == 24
@@ -643,15 +644,15 @@ def test_estimator_hull_queries_run_on_floats(monkeypatch):
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_singular_basis_is_an_arithmetic_error_on_each_kernel(route):
+def test_singular_basis_is_an_arithmetic_error_on_each_kernel(route, monkeypatch):
     # Rows 0 and 1 are equal.  Column 0 enters on row 0; then column 1's
     # entry in row 1 reads b - 3 fl(b / 3), a rounding residue that passes
-    # the tiny pivot_tol, and the block on rows 0 and 1 is exactly singular.
+    # a tiny PIVOT_TOL, and the block on rows 0 and 1 is exactly singular.
     b = 0.9
     rows = np.array([[3.0, b], [3.0, b], [-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
-    config = SolverConfig(pivot_tol=1e-300)
+    monkeypatch.setattr(lp, "PIVOT_TOL", 1e-300)
     with _forced(route), pytest.raises(ArithmeticError, match="simplex basis solve failed") as err:
-        solve(MembershipProgram(rows, np.array([1.0, 0.5])), config)
+        solve(MembershipProgram(rows, np.array([1.0, 0.5])))
     assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
 

@@ -8,9 +8,7 @@ import pytest
 
 from hullmle import hull
 from hullmle.hull import HullStatus, make_target_set, query, query_dual
-from hullmle.lp import LpStatus, SolverConfig
-
-CFG = SolverConfig()
+from hullmle.lp import FEAS_TOL, LpStatus
 
 
 @pytest.fixture
@@ -19,8 +17,8 @@ def solve_calls(monkeypatch):
     calls = []
     original = hull.solve
 
-    def recording(problem, config=None):
-        sol = original(problem, config)
+    def recording(problem):
+        sol = original(problem)
         calls.append((problem.n_rows, sol.status))
         return sol
 
@@ -139,7 +137,7 @@ def _sweep():
 
 
 def test_row_generation_matches_all_rows_lp_and_dual(monkeypatch):
-    tol = 2.0 * CFG.feas_tol
+    tol = 2.0 * FEAS_TOL
     for target, point in _sweep():
         verdict = query(target, point)
         full = _all_rows_query(monkeypatch, target, point)
