@@ -37,7 +37,7 @@ Six answer sets are hashed, each with its outcome counts:
   every per-point scale.
 * The sampled likelihood ratio on RATIO_DRAWS draws of two inputs: K4
   samples at theta = 0 (75 unconstrained and 25 masked rows, many
-  repeated, the chains seeded by SeedSequence(RATIO_SEED, spawn_key=
+  repeated, the samples seeded by SeedSequence(RATIO_SEED, spawn_key=
   (0, draw, 0 or 1))), and 200 x 3 against 50 x 3 standard normal rows
   (no repeats), both samples centered by the target mean.  The normal
   rows, dtheta and scales come from SeedSequence(RATIO_SEED, spawn_key=
@@ -52,8 +52,8 @@ Six answer sets are hashed, each with its outcome counts:
   last two has edge probability 0.3 and its free dyads among 8 of its
   vertices, drawn from SeedSequence(SPACES_SEED, spawn_key=(n, k)).  A
   space contributes its distinct rows and their graph counts.  Two
-  mcmc_sample runs on the 30-vertex space (SPACES_DRAWS rows at the
-  default interval, at two thetas) contribute their rows.
+  mcmc_sample runs on the 30-vertex space (SPACES_DRAWS rows, at two
+  thetas; 10 free dyads are drawn exactly) contribute their rows.
 
 Every float is hashed as float.hex, so equal digests mean answers equal
 bit for bit.  The answers depend on the BLAS kernel numpy runs, so

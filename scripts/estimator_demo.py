@@ -12,7 +12,10 @@ price is Monte Carlo noise: single-run estimates scatter around the
 exact maximizer, and an occasional run steps somewhere the sampled
 target statistics collapse in rank, or where the step's likelihood
 ascent fails.  The sweep reports each such seed and counts the outcome
-kinds.
+kinds.  Its summary is deterministic: the outcome kinds, a histogram of
+outer iterations over the runs that returned a trace, and the median
+and 90th-percentile Euclidean distance of the converged estimates to
+the exact maximizer; the sweep's time comes last, on a line of its own.
 """
 
 import argparse
@@ -81,6 +84,7 @@ def main():
     print(f"\nsweep over {args.sweep} master seeds:")
     finals = []
     outcomes = Counter()
+    iterations = Counter()
     tick = time.perf_counter()
     for seed in range(args.sweep):
         try:
@@ -101,20 +105,26 @@ def main():
             f"{len(t.iterations)} iters, {mark}"
         )
         outcomes[mark] += 1
+        iterations[len(t.iterations)] += 1
         if t.converged:
             finals.append(t.final_theta)
     elapsed = time.perf_counter() - tick
 
     finals = np.array(finals)
-    print(f"\nconverged runs: {len(finals)}/{args.sweep}  ({elapsed:.2f}s)")
+    print(f"\nconverged runs: {len(finals)}/{args.sweep}")
     print("outcomes: " + ", ".join(f"{kind} {n}" for kind, n in sorted(outcomes.items())))
+    print("outer iterations: " + ", ".join(f"{k}: {n}" for k, n in sorted(iterations.items())))
     if len(finals) >= 1:
+        distances = np.linalg.norm(finals - exact, axis=1)
+        print(f"distance to the exact maximizer: median {np.median(distances):.4f}, "
+              f"q90 {np.quantile(distances, 0.9):.4f}")
         mean = finals.mean(axis=0)
         print(f"mean final theta:  ({mean[0]:+.4f}, {mean[1]:+.4f})")
     if len(finals) >= 2:
         sd = finals.std(axis=0, ddof=1)
         print(f"cross-run std dev: ({sd[0]:.4f}, {sd[1]:.4f})")
     print(f"exact maximizer:   ({exact[0]:+.4f}, {exact[1]:+.4f})")
+    print(f"sweep time: {elapsed:.2f}s")
 
 
 if __name__ == "__main__":

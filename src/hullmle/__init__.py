@@ -5,9 +5,9 @@ The pieces compose bottom-up: ``lp`` solves small dense linear
 programs, ``hull`` turns one solve into a point-versus-hull verdict
 with an exact boundary scaling factor, ``batch`` sweeps verdicts over
 test sets and pruned targets, ``expfam`` supplies graph statistics,
-exact toy-model moments, and a Metropolis sampler, and ``estimate``
-drives the containment-checked likelihood stepping that ties them
-together.
+exact toy-model moments, and a sampler (exact draws on small spaces, a
+Metropolis chain on larger ones), and ``estimate`` drives the
+containment-checked likelihood stepping that ties them together.
 """
 
 from .batch import (

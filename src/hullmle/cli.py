@@ -468,7 +468,9 @@ def _add_sampler_flags(parser) -> None:
     parser.add_argument("--s-test", type=_int_at_least(1), default=100,
                         help="constrained sample size (default 100)")
     parser.add_argument("--interval", type=_int_at_least(1), default=None,
-                        help="steps between recorded graphs (default 10 per free dyad)")
+                        help="steps between recorded graphs of a chain (default 10 per "
+                             "free dyad); spaces of at most 12 free dyads are drawn "
+                             "exactly and run no chain")
     parser.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="master seed (default 0)")
 

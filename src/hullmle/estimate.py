@@ -78,7 +78,10 @@ class EstimatorConfig:
     the effective rescaling keeps test points strictly interior;
     stop_threshold ends the loop once safety_factor times the multiplier
     exceeds 1 with margin (0.9 * 1.11 is just shy of parity, meaning the
-    final step ran at essentially unshrunk scale).
+    final step ran at essentially unshrunk scale).  mcmc_interval is
+    the chain's recording interval, None for 10 per free dyad; it
+    applies only to spaces of more than 12 free dyads, which mcmc_sample
+    runs as chains.
     """
 
     r_target: int = 500
@@ -102,7 +105,9 @@ class EstimatorConfig:
                 numerics.check_count(name, value, least)
 
 
-@dataclass(frozen=True)
+# Slotted, with no per-instance dict: a caller that keeps every trace it
+# gets, as a seed sweep does, holds only the fields.
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     """State recorded before each re-estimation step."""
 
@@ -110,7 +115,7 @@ class IterationRecord:
     multiplier: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EstimatorTrace:
     iterations: tuple[IterationRecord, ...]
     final_theta: np.ndarray
@@ -327,10 +332,12 @@ def iterate_until_contained(
     records (theta, multiplier) before every re-estimation so the trace
     shows the containment trajectory.  Sample seeds derive from the
     master seed and the iteration index, so traces are reproducible
-    bit for bit.
+    bit for bit.  Each iterate is one read-only array, held by its record
+    and, for the last, by final_theta too.
     """
     cfg = cfg or EstimatorConfig()
     theta = numerics.as_vector(theta0, "theta0").copy()
+    theta.flags.writeable = False
     if theta.size != stats.dim:
         raise ValueError(f"theta0 has {theta.size} entries, statistics have {stats.dim}")
     mask = _estimation_mask(y_obs, mask)
@@ -360,7 +367,7 @@ def iterate_until_contained(
                          rank=target.rank)
         report = min_scale(hull, make_test_set(sample_z.rows), cfg.solver)
         multiplier = report.min_scale
-        records.append(IterationRecord(theta=theta.copy(), multiplier=multiplier))
+        records.append(IterationRecord(theta=theta, multiplier=multiplier))
 
         if multiplier >= cfg.stop_threshold:
             converged = True
@@ -369,10 +376,9 @@ def iterate_until_contained(
         centered_y = target.points
         centered_z = sample_z.rows - target.centroid
         theta = rescaled_step(theta, centered_y, centered_z, multiplier, cfg)
+        theta.flags.writeable = False
 
-    return EstimatorTrace(
-        iterations=tuple(records), final_theta=theta.copy(), converged=converged
-    )
+    return EstimatorTrace(iterations=tuple(records), final_theta=theta, converged=converged)
 
 
 # Ascent iterates beyond this norm are treated as divergence to a

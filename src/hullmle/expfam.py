@@ -5,10 +5,11 @@ Graphs are binary, undirected, without self-loops; the model weight of
 a graph y is exp(theta' g(y)) for a statistic vector g built from edge,
 2-star, and triangle counts.  Everything here is deliberately desk
 scale: normalizers come from explicit enumeration when the free-dyad
-count permits, and a single-site Metropolis chain supplies samples when
-it does not.  Missing data enters through an observation mask; the
-constrained sample space holds every graph agreeing with the observed
-dyads.
+count permits.  Samples on a space of at most 12 free dyads are exact
+independent draws over its enumerated states, and a single-site
+Metropolis chain supplies them on a larger space.  Missing data enters
+through an observation mask; the constrained sample space holds every
+graph agreeing with the observed dyads.
 
 The model reads a graph only through g(y), so exact inference runs on
 the statistic histogram of a space: its distinct rows and how many
@@ -21,7 +22,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -52,8 +52,8 @@ ENUM_LIMIT = 25
 # 10-40 MiB and ran slower on n = 6-7.
 _CHUNK = 1 << 12
 _RNG_BLOCK = 1 << 13
-# The state-code kernel of mcmc_sample runs spaces of at most this many
-# free dyads, so a memoized space stays under 0.8 MB.
+# mcmc_sample draws spaces of at most this many free dyads exactly, from
+# a memo of every state's row that stays under 100 kB a space.
 _CODE_TABLE_LIMIT = 12
 
 
@@ -87,7 +87,8 @@ class StatDef:
         return cls(terms=tuple(StatTerm(name) for name in names))
 
 
-# The chain's own term order: every Metropolis gain reads all three.
+# The sampler's own term order: the exact draws' weights and every
+# Metropolis gain read all three.
 _CHAIN_TERMS = StatDef((StatTerm.EDGES, StatTerm.TWO_STARS, StatTerm.TRIANGLES))
 
 
@@ -508,47 +509,34 @@ def _bitmask_chain(segments, n, free, state, gains, keep_graphs):
 
 
 @functools.lru_cache(maxsize=8)
-def _code_table(n: int, mask_bytes):
-    """The space's states in code order, for the state-code kernel.
-
-    Returns rows, kinds and index.  rows is the (edges, 2-stars,
-    triangles) row of every state, a read-only (2**k, 3) array.  kinds
-    holds the few distinct (d_edges, d_stars, d_tris) changes a toggle
-    makes, as tuples of ints; index[c][t] is the position in kinds of the
-    change a toggle of free dyad t makes in state c.  Both are tuples.
-    """
+def _code_table(n: int, mask_bytes) -> np.ndarray:
+    """The (edges, 2-stars, triangles) row of every state of the space in
+    code order, a read-only (2**k, 3) array: the states the exact route
+    of mcmc_sample draws from."""
     rows = np.concatenate(list(enumerate_statistics(_CHAIN_TERMS, n, _mask_of(mask_bytes))))
     rows.flags.writeable = False
-    counts = rows.astype(np.int64)
-    k = rows.shape[0].bit_length() - 1
-    flipped = np.arange(rows.shape[0])[:, None] ^ (1 << np.arange(k))
-    # Each toggle's change as a mixed-radix key over the changes' span;
-    # the keys that occur, in order, number the kinds.
-    changes = [counts[flipped, j] - counts[:, j, None] for j in range(3)]
-    low = [int(change.min()) for change in changes]
-    radix = tuple(int(change.max()) - lo + 1 for change, lo in zip(changes, low))
-    keys = np.ravel_multi_index([change - lo for change, lo in zip(changes, low)], radix)
-    seen = np.bincount(keys.ravel(), minlength=math.prod(radix)) > 0
-    kinds = np.column_stack(np.unravel_index(np.flatnonzero(seen), radix)) + low
-    index = (np.cumsum(seen) - 1)[keys]
-    return rows, tuple(map(tuple, kinds.tolist())), tuple(map(tuple, index.tolist()))
+    return rows
 
 
-def _table_chain(segments, code: int, index, gains):
-    """Run the chain on the state code: index[c][t] picks the gain in
-    gains of toggling free dyad t in state c.  Returns the codes at the
-    records."""
-    bit = [1 << t for t in range(len(index[0]))]
-    row = index[code]
-    codes = []
-    for toggles, logus, recorded in segments:
-        for t, logu in zip(toggles, logus):
-            if logu < gains[row[t]]:
-                code ^= bit[t]
-                row = index[code]
-        if recorded:
-            codes.append(code)
-    return codes
+def _exact_codes(rng, rows: np.ndarray, coefs, count: int, theta) -> np.ndarray:
+    """count independent state codes, code c drawn with probability
+    proportional to exp(theta' g(c)), g(c) being rows[c] and coefs the
+    (edges, 2-stars, triangles) coefficients of theta.
+
+    Inverse CDF at count uniforms: a uniform u picks the first code whose
+    cumulative weight exceeds u times the total.  u is below 1, and the
+    largest weight is 1, so u times the total rounds below the total and
+    no draw passes the last code of positive weight.  A theta whose
+    theta' g overflows on the space raises ValueError naming it, without
+    a warning.
+    """
+    t_edge, t_star, t_tri = coefs
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_weights = t_edge * rows[:, 0] + t_star * rows[:, 1] + t_tri * rows[:, 2]
+    if not np.isfinite(log_weights).all():
+        raise ValueError(f"theta'g is not finite on this space at theta {theta}")
+    cdf = np.cumsum(np.exp(log_weights - log_weights.max()))
+    return np.searchsorted(cdf, rng.random(count) * cdf[-1], side="right")
 
 
 def mcmc_sample(
@@ -561,44 +549,47 @@ def mcmc_sample(
     seed=None,
     keep_graphs: bool = False,
 ) -> StatMatrix:
-    """Metropolis sample of statistic vectors at parameter theta.
+    """Sample of statistic vectors at parameter theta: count graphs of
+    the (possibly constrained) space, each drawn with probability
+    proportional to exp(theta' g).  Fully masked spaces have a single
+    state, returned count times.
 
-    Single-dyad toggles, uniform over free dyads, accepted with
-    probability min(1, exp(theta' dg)) where dg is the change in
-    (edges, 2-stars, triangles).  Each step holds in place with
-    probability 1/2: a pure toggle chain flips the edge-count parity
-    deterministically wherever acceptance is certain (theta = 0 being
-    the worst case), so even recording intervals would only ever see
-    one parity class.  The lazy step removes that period at no cost to
-    the stationary distribution.  The chain starts from the observed
-    values with free dyads filled independently at random, runs
-    10*interval burn-in steps, then records g every interval steps.
-    Fully masked spaces have a single state, returned count times.
+    The space alone picks the route.  A space of at most 12 free dyads
+    (_CODE_TABLE_LIMIT) is drawn exactly: a memo per space holds the
+    (edges, 2-stars, triangles) row of every state code c (bit t is free
+    dyad t), built from enumerate_statistics, and each call draws count
+    independent codes by inverse CDF over the weights exp(theta' g(c)),
+    from count uniforms of the generator.  The draws have the chain's
+    stationary law without its burn-in bias or autocorrelation.  A theta
+    whose theta' g is not finite on such a space raises ValueError naming
+    it, and no warning.
 
-    Draws come in blocks of up to 8192 steps: each block takes its dyad
-    picks, then its acceptance uniforms, from the generator.  A hold draw
-    uses up its two random numbers but no loop iteration; only toggle
-    draws run in Python, split at the block's recording steps.
-
-    Two kernels run the toggles; the space alone picks one.  A space of
-    at most 12 free dyads (_CODE_TABLE_LIMIT) runs on the state-code
-    kernel: the chain runs on the code c of the state (bit t is free
-    dyad t).  A memo per space, built from the rows of
-    enumerate_statistics, holds the few distinct changes dg a toggle can
-    make and, per state, which of them each toggle makes; each call
-    computes theta' dg once per distinct change, and a toggle is two
-    lookups, one comparison and, if accepted, one XOR.  A larger space
-    runs on the bitmask kernel, which keeps per-vertex adjacency
-    bitmasks and degrees and computes dg incrementally (degree sums for
-    2-stars, common neighbors for triangles).  Both evaluate theta' dg
-    in Python floats with the same operations in the same order, so
-    samples and graphs are bit-identical whichever kernel runs, and to a
-    chain that runs one iteration per step, hold steps included; at a
-    theta large enough for a gain to overflow to inf or nan, both
-    compare against the same value, and no warning is raised.
+    A larger space runs a Metropolis chain of single-dyad toggles,
+    uniform over free dyads, accepted with probability min(1,
+    exp(theta' dg)) where dg is the change in (edges, 2-stars,
+    triangles).  Each step holds in place with probability 1/2: a pure
+    toggle chain flips the edge-count parity deterministically wherever
+    acceptance is certain (theta = 0 being the worst case), so even
+    recording intervals would only ever see one parity class.  The lazy
+    step removes that period at no cost to the stationary distribution.
+    The chain starts from the observed values with free dyads filled
+    independently at random, runs 10*interval burn-in steps, then
+    records g every interval steps (interval defaults to 10 per free
+    dyad).  Draws come in blocks of up to 8192 steps: each block takes
+    its dyad picks, then its acceptance uniforms, from the generator.  A
+    hold draw uses up its two random numbers but no loop iteration; only
+    toggle draws run in Python, split at the block's recording steps.
+    The kernel keeps per-vertex adjacency bitmasks and degrees and
+    computes dg incrementally (degree sums for 2-stars, common neighbors
+    for triangles), in Python floats, so samples and graphs are
+    bit-identical to a chain that runs one iteration per step, hold
+    steps included; at a theta large enough for a gain to overflow to
+    inf or nan, it compares against that value, and no warning is
+    raised.
 
     count and interval must be integers of at least 1 and n one of at
-    least 2 (numpy integers pass, bools do not).
+    least 2 (numpy integers pass, bools do not); interval applies only
+    to chains.
     """
     th = numerics.as_vector(theta, "theta")
     if th.size != stats.dim:
@@ -615,31 +606,24 @@ def mcmc_sample(
         graphs = tuple(Graph(n=n, edges=base.copy()) for _ in range(count)) if keep_graphs else None
         return StatMatrix(rows=rows, graphs=graphs)
 
-    if interval is None:
-        interval = 10 * n_free
-
     rng = np.random.default_rng(seed)
-    on = rng.random(n_free) < 0.5
     coef = dict(zip(stats.terms, th.tolist()))
-    t_edge, t_star, t_tri = (coef.get(term, 0.0) for term in _CHAIN_TERMS.terms)
+    coefs = tuple(coef.get(term, 0.0) for term in _CHAIN_TERMS.terms)
     order = [_CHAIN_TERMS.terms.index(term) for term in stats.terms]
-    segments = _toggle_segments(rng, n_free, interval, count)
 
     if n_free <= _CODE_TABLE_LIMIT:
-        table, kinds, index = _code_table(*_space_key(n, mask))
-        # The gain of the bitmask kernel, term for term in the same order.
-        gains = [t_edge * de + t_star * ds + t_tri * dt for de, ds, dt in kinds]
-        start = sum(1 << t for t, bit in enumerate(on.tolist()) if bit)
-        codes = np.array(_table_chain(segments, start, index, gains))
+        table = _code_table(*_space_key(n, mask))
+        codes = _exact_codes(rng, table, coefs, count, th.tolist())
         rows = table[np.ix_(codes, order)]
         if keep_graphs:
             snapshots = ((codes[:, None] >> np.arange(n_free)) & 1).astype(bool)
     else:
+        if interval is None:
+            interval = 10 * n_free
         state = base.copy()
-        state[free] = on
-        tallies, snapshots = _bitmask_chain(
-            segments, n, free, state, (t_edge, t_star, t_tri), keep_graphs
-        )
+        state[free] = rng.random(n_free) < 0.5
+        segments = _toggle_segments(rng, n_free, interval, count)
+        tallies, snapshots = _bitmask_chain(segments, n, free, state, coefs, keep_graphs)
         rows = np.array([[tally[c] for c in order] for tally in tallies], dtype=np.float64)
 
     graphs = None
@@ -651,4 +635,3 @@ def mcmc_sample(
             graphs.append(Graph(n=n, edges=edges))
         graphs = tuple(graphs)
     return StatMatrix(rows=rows, graphs=graphs)
-

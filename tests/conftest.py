@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+from hullmle import expfam
 from hullmle.expfam import Graph, ObservationMask, StatDef
 from hullmle.hull import make_target_set
+
+
+@pytest.fixture
+def chain_sampler(monkeypatch):
+    """mcmc_sample runs its chain on every space: a limit of 0 free dyads
+    sends none to the exact route, so values pinned on chain-drawn samples
+    hold byte for byte."""
+    monkeypatch.setattr(expfam, "_CODE_TABLE_LIMIT", 0)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -251,10 +253,11 @@ def test_iterate_is_deterministic():
     assert np.array_equal(a.final_theta, b.final_theta)
 
 
-# Traces of the masked K4 instance under _k4_cfg, pinned bit for bit as
-# float.hex: per iteration (theta_0, theta_1, multiplier), then the final
-# theta.  Every pinned trace converged.  Seed 6 draws a rank-deficient
-# target; seed 47's last step shrinks its test rows onto a Boundary row.
+# Traces of the masked K4 instance under _k4_cfg on chain-drawn samples
+# (the chain_sampler fixture), pinned bit for bit as float.hex: per
+# iteration (theta_0, theta_1, multiplier), then the final theta.  Every
+# pinned trace converged.  Seed 6 draws a rank-deficient target; seed
+# 47's last step shrinks its test rows onto a Boundary row.
 K4_TRACES = {
     0: ([("0x0.0p+0", "0x0.0p+0", "0x1.5df984dc5abbdp-1"),
          ("-0x1.a30b074b3944dp-1", "0x1.32eb7b53cf12cp+0", "0x1.5745d1745d174p+0")],
@@ -293,6 +296,20 @@ K4_TRACES = {
           ("-0x1.1f518110358c4p-1", "0x1.23b765ec35f1dp+0", "0x1.4b00000000001p+0")],
          ("-0x1.1f518110358c4p-1", "0x1.23b765ec35f1dp+0")),
 }
+# Traces on exact draws, as the estimator samples the K4 spaces.
+K4_EXACT_TRACES = {
+    0: ([("0x0.0p+0", "0x0.0p+0", "0x1.6a956a956a957p-1"),
+         ("-0x1.8d404cb2b8c78p-1", "0x1.410274884b599p+0", "0x1.ea2576a25769fp+0")],
+        ("-0x1.8d404cb2b8c78p-1", "0x1.410274884b599p+0")),
+    1: ([("0x0.0p+0", "0x0.0p+0", "0x1.319cc67319cc6p+0")],
+        ("0x0.0p+0", "0x0.0p+0")),
+    2: ([("0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"),
+         ("0x1.919e578ac7941p-2", "-0x1.7a25d42085121p-11", "0x1.62d67075590f0p-1"),
+         ("-0x1.e8e4dacd4ef60p-1", "0x1.3313f8319e15ap+0", "0x1.0000000000000p+0"),
+         ("-0x1.07bcd5208c958p-3", "0x1.3407eccca298bp-1", "0x1.5494dd0a2657fp+0")],
+        ("-0x1.07bcd5208c958p-3", "0x1.3407eccca298bp-1")),
+}
+
 # Master seeds whose inner step, with an absolute gradient test below what
 # the sampled value resolves, once ran to its iteration limit.
 K4_FORMERLY_STALLED = (47, 66, 85, 90, 93, 137, 145, 193)
@@ -303,7 +320,7 @@ def _hex(values) -> tuple[str, ...]:
 
 
 @pytest.mark.parametrize("seed", [*range(10), 47])
-def test_iterate_k4_trace_is_pinned(seed):
+def test_iterate_k4_trace_is_pinned(chain_sampler, seed):
     graph, mask = masked_k4_instance()
     if seed == 6:
         with pytest.raises(ValueError, match="rank-deficient"):
@@ -317,7 +334,17 @@ def test_iterate_k4_trace_is_pinned(seed):
     assert _hex(trace.final_theta) == final
 
 
-def test_formerly_stalled_inner_ascents_converge(monkeypatch):
+@pytest.mark.parametrize("seed", sorted(K4_EXACT_TRACES))
+def test_iterate_k4_trace_is_pinned_on_exact_draws(seed):
+    graph, mask = masked_k4_instance()
+    trace = iterate_until_contained(ET, graph, mask, np.zeros(2), _k4_cfg(seed))
+    iterations, final = K4_EXACT_TRACES[seed]
+    assert [_hex([*record.theta, record.multiplier]) for record in trace.iterations] == iterations
+    assert trace.converged
+    assert _hex(trace.final_theta) == final
+
+
+def test_formerly_stalled_inner_ascents_converge(chain_sampler, monkeypatch):
     # Seed 47's last step shrinks its test rows onto a Boundary row, where
     # the sampled value is level to rounding near the maximizer.  The
     # ascent must still reach the gradient tolerance, in a few Newton steps.
@@ -475,7 +502,7 @@ def _record_fields(trace):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_iterate_variance_condition_per_iteration(seed):
+def test_iterate_variance_condition_per_iteration(chain_sampler, seed):
     graph, mask = masked_k4_instance()
     if seed not in OUTER_ITERATIONS:
         with pytest.raises(ValueError, match="rank-deficient"):
@@ -495,6 +522,32 @@ def test_iterate_variance_condition_unknown_for_one_test_draw():
     trace = iterate_until_contained(ET, graph, mask, np.zeros(2), cfg)
     assert len(trace.iterations) == 1
     assert _record_fields(trace) == {("theta", "multiplier")}
+
+
+def test_trace_records_are_slotted():
+    # No per-instance dict; copies, pickles and field lists still work.
+    graph, mask = masked_k4_instance()
+    trace = iterate_until_contained(ET, graph, mask, np.zeros(2), _k4_cfg(0))
+    for obj in (trace, *trace.iterations):
+        assert not hasattr(obj, "__dict__")
+    for clone in (copy.deepcopy(trace), pickle.loads(pickle.dumps(trace))):
+        assert clone.multipliers == trace.multipliers
+        assert clone.final_theta.tobytes() == trace.final_theta.tobytes()
+    assert [f.name for f in dataclasses.fields(trace)] == ["iterations", "final_theta",
+                                                         "converged"]
+
+
+def test_trace_iterates_are_read_only_and_held_once():
+    # Seed 0 converges: its final theta is its last record's array.
+    graph, mask = masked_k4_instance()
+    theta0 = np.zeros(2)
+    trace = iterate_until_contained(ET, graph, mask, theta0, _k4_cfg(0))
+    assert trace.converged
+    assert trace.final_theta is trace.iterations[-1].theta
+    for theta in (trace.final_theta, *(record.theta for record in trace.iterations)):
+        assert not theta.flags.writeable
+    theta0[0] = 5.0
+    assert trace.iterations[0].theta.tolist() == [0.0, 0.0]
 
 
 def test_iterate_requires_some_observation():

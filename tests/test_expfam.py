@@ -567,10 +567,48 @@ def reference_sample(stats, theta, n, count, interval=None, mask=None, seed=None
     return rows, graphs
 
 
-def assert_same_chain(stats, theta, n, count, interval=None, mask=None, seed=None):
+# Every state's (edges, 2-stars, triangles) row per space, for reference_draws.
+SPACE_ROWS = {}
+
+
+def reference_draws(stats, theta, n, count, mask=None, seed=None):
+    """Exact draws as a pass over every code per draw: what mcmc_sample
+    must reproduce on a space of at most _CODE_TABLE_LIMIT free dyads.
+    Each code's statistics are recounted from its graph and weighted by
+    exp(theta' g) relative to the largest weight; a uniform u draws the
+    first code whose running weight sum exceeds u times the total.  A
+    theta' g that is not finite raises ValueError.  Returns the rows and
+    the graphs drawn."""
+    th = np.asarray(theta, dtype=np.float64).tolist()
+    coef = dict(zip(stats.terms, th))
+    c_edge, c_star, c_tri = (coef.get(term, 0.0) for term in EST.terms)
+    k = expfam._space(n, mask)[0].size
+    key = expfam._space_key(n, mask)
+    if key not in SPACE_ROWS:
+        SPACE_ROWS[key] = [g.tolist() for g in per_code_rows(EST, n, mask)]
+    full = SPACE_ROWS[key]
+    log_weights = [c_edge * e + c_star * s + c_tri * t for e, s, t in full]
+    if not all(map(math.isfinite, log_weights)):
+        raise ValueError("theta'g is not finite")
+    top = max(log_weights)
+    running = list(itertools.accumulate(math.exp(w - top) for w in log_weights))
+    codes = []
+    for u in np.random.default_rng(seed).random(count).tolist():
+        codes.append(next(c for c, total in enumerate(running) if total > u * running[-1]))
+    assert max(codes) < 1 << k
+    graphs = [graph_of_code(n, mask, c) for c in codes]
+    return np.array([statistics(g, stats) for g in graphs]), graphs
+
+
+def assert_same_sample(stats, theta, n, count, interval=None, mask=None, seed=None):
+    """mcmc_sample against the reference of the route its space takes:
+    exact draws up to _CODE_TABLE_LIMIT free dyads, the chain past it."""
     sample = mcmc_sample(stats, theta, n, count, interval=interval, mask=mask, seed=seed,
                          keep_graphs=True)
-    rows, graphs = reference_sample(stats, theta, n, count, interval, mask, seed)
+    if 0 < expfam._space(n, mask)[0].size <= expfam._CODE_TABLE_LIMIT:
+        rows, graphs = reference_draws(stats, theta, n, count, mask, seed)
+    else:
+        rows, graphs = reference_sample(stats, theta, n, count, interval, mask, seed)
     assert sample.rows.dtype == np.float64 and sample.rows.shape == rows.shape
     assert sample.rows.strides == rows.strides
     assert sample.rows.tobytes() == rows.tobytes()
@@ -585,24 +623,30 @@ STAT_SETS = [StatDef(terms) for size in (1, 2, 3)
 
 @pytest.mark.parametrize("mask_kind", ["none", "partial", "full"])
 @pytest.mark.parametrize("n", range(3, 9))
-def test_sampler_matches_per_step_reference(n, mask_kind):
+def test_sampler_matches_per_step_reference(monkeypatch, n, mask_kind):
+    # Each case runs twice: as the space picks its route, then on the
+    # chain, which a limit of 0 free dyads forces on every space.
     rng = np.random.default_rng(1000 * n + len(mask_kind))
     m = n * (n - 1) // 2
     graph = Graph(n=n, edges=rng.random(m) < 0.4)
     mask = {"none": None,
             "partial": ObservationMask.from_graph(graph, rng.random(m) < 0.5),
             "full": ObservationMask.all_observed(graph)}[mask_kind]
-    for k, stats in enumerate(STAT_SETS):
-        for sign in (1.0, -1.0):
-            theta = 3.0 * sign * rng.choice([-1.0, 1.0], size=stats.dim)
-            assert_same_chain(stats, theta, n, 12, mask=mask, seed=SeedSequence([n, k]))
-        theta = rng.normal(scale=0.3, size=stats.dim)
-        assert_same_chain(stats, theta, n, 30, interval=1 + k, mask=mask,
-                          seed=SeedSequence([n, k, 1]))
+    state = rng.bit_generator.state
+    for limit in (expfam._CODE_TABLE_LIMIT, 0):
+        monkeypatch.setattr(expfam, "_CODE_TABLE_LIMIT", limit)
+        rng.bit_generator.state = state
+        for k, stats in enumerate(STAT_SETS):
+            for sign in (1.0, -1.0):
+                theta = 3.0 * sign * rng.choice([-1.0, 1.0], size=stats.dim)
+                assert_same_sample(stats, theta, n, 12, mask=mask, seed=SeedSequence([n, k]))
+            theta = rng.normal(scale=0.3, size=stats.dim)
+            assert_same_sample(stats, theta, n, 30, interval=1 + k, mask=mask,
+                               seed=SeedSequence([n, k, 1]))
 
 
 @pytest.mark.parametrize("mask", [None, "partial"])
-def test_sampler_matches_reference_across_block_seams(mask):
+def test_sampler_matches_reference_across_block_seams(chain_sampler, mask):
     # interval 512: burn-in ends at step 5120 and the records fall on
     # 5632, ..., 16384, so one lands on the last step of each of the two
     # 8192-draw blocks and the chain ends exactly at a block boundary.
@@ -610,20 +654,32 @@ def test_sampler_matches_reference_across_block_seams(mask):
     graph, k4_mask = masked_k4_instance()
     if mask == "partial":
         mask = k4_mask
-    assert_same_chain(EST, np.array([0.4, -0.3, 0.5]), graph.n, 22, interval=512, mask=mask,
-                      seed=SeedSequence(9))
+    assert_same_sample(EST, np.array([0.4, -0.3, 0.5]), graph.n, 22, interval=512, mask=mask,
+                       seed=SeedSequence(9))
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Names of the sampler kernels run, in call order."""
+    """Names of the sampler routes run, in call order."""
     calls = []
-    for name in ("_table_chain", "_bitmask_chain"):
+    for name in ("_exact_codes", "_bitmask_chain"):
         def spy(*args, _name=name, _original=getattr(expfam, name)):
             calls.append(_name)
             return _original(*args)
         monkeypatch.setattr(expfam, name, spy)
     return calls
+
+
+def toggle_gains(theta, n, mask):
+    """theta' dg of every toggle of every state of the space: the gains
+    the chain compares against."""
+    rows = expfam._code_table(*expfam._space_key(n, mask)).astype(np.int64)
+    k = rows.shape[0].bit_length() - 1
+    codes = np.arange(rows.shape[0])
+    changes = {tuple(change) for t in range(k)
+               for change in (rows[codes ^ (1 << t)] - rows).tolist()}
+    t_edge, t_star, t_tri = theta
+    return [t_edge * de + t_star * ds + t_tri * dt for de, ds, dt in changes]
 
 
 # Each entry overflows a gain: to +inf or -inf, and to nan where terms of
@@ -635,40 +691,64 @@ EXTREME_THETAS = [(1e308, -1e308, 1e308), (-1e308, 1e308, -1e308), (1e308, 1e308
 @pytest.mark.parametrize("theta", EXTREME_THETAS)
 @pytest.mark.parametrize("on_codes", [True, False], ids=["state-code", "bitmask"])
 def test_kernels_match_reference_at_extreme_theta(monkeypatch, kernel_calls, on_codes, theta):
-    # A limit of 0 free dyads sends every space to the bitmask kernel.
+    # A limit of 0 free dyads sends every space to the chain.  Exact
+    # draws refuse a theta whose theta' g overflows, as their reference
+    # does, naming theta; the chain runs, and matches its reference.
     monkeypatch.setattr(expfam, "_CODE_TABLE_LIMIT", 12 if on_codes else 0)
     n, mask = masked_n5()
-    t_edge, t_star, t_tri = theta
-    _, kinds, _ = expfam._code_table(*expfam._space_key(n, None))
-    assert any(math.isinf(t_edge * de + t_star * ds + t_tri * dt) for de, ds, dt in kinds)
+    assert any(map(math.isinf, toggle_gains(theta, n, None)))
     theta = np.array(theta)
     for space in (None, mask):
         # The sampler runs outside errstate, so a warning from it fails
-        # the test; the reference computes in numpy scalars, which warn.
+        # the test; the references compute in numpy scalars, which warn.
+        if on_codes:
+            with pytest.raises(ValueError, match=r"not finite on this space at theta \["):
+                mcmc_sample(EST, theta, n, 20, mask=space, seed=SeedSequence(8))
+            with pytest.raises(ValueError, match="not finite"):
+                reference_draws(EST, theta, n, 20, mask=space, seed=SeedSequence(8))
+            continue
         sample = mcmc_sample(EST, theta, n, 20, mask=space, seed=SeedSequence(8),
                              keep_graphs=True)
         with np.errstate(over="ignore", invalid="ignore"):
             rows, graphs = reference_sample(EST, theta, n, 20, mask=space, seed=SeedSequence(8))
         assert sample.rows.tobytes() == rows.tobytes()
         assert [g.edges.tobytes() for g in sample.graphs] == [g.edges.tobytes() for g in graphs]
-    assert kernel_calls == ["_table_chain" if on_codes else "_bitmask_chain"] * 2
+    assert kernel_calls == ["_exact_codes" if on_codes else "_bitmask_chain"] * 2
 
 
 def test_extreme_theta_reaches_nan_gains():
     # The first extreme theta's gains include nan, so the comparison above
     # covers the nan threshold too.
-    _, kinds, _ = expfam._code_table(*expfam._space_key(5, None))
-    t_edge, t_star, t_tri = EXTREME_THETAS[0]
-    gains = [t_edge * de + t_star * ds + t_tri * dt for de, ds, dt in kinds]
+    gains = toggle_gains(EXTREME_THETAS[0], 5, None)
     assert any(map(math.isnan, gains)) and any(map(math.isinf, gains))
+
+
+class _FixedUniforms:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, count):
+        return np.full(count, self.u)
+
+
+@pytest.mark.parametrize("u", [0.0, float(np.nextafter(1.0, 0.0))], ids=["zero", "below-one"])
+@pytest.mark.parametrize("t_edge, code", [(-800.0, 0), (800.0, 7)], ids=["first", "last"])
+def test_exact_draws_take_only_codes_of_positive_weight(u, t_edge, code):
+    # On n = 3 at |theta_edges| = 800 every code but the empty or the
+    # complete graph has a weight that underflows to 0: the least and
+    # the largest uniform both draw the one code of positive weight, and
+    # neither passes the last code.
+    rows = expfam._code_table(*expfam._space_key(3, None))
+    codes = expfam._exact_codes(_FixedUniforms(u), rows, (t_edge, 0.0, 0.0), 4, [t_edge])
+    assert codes.tolist() == [code] * 4
 
 
 @pytest.mark.parametrize("count, interval", [(30, 20), (70, 1000)],
                          ids=["short-chain", "long-chain"])
 @pytest.mark.parametrize("past", [0, 1], ids=["at-cutover", "one-past"])
 def test_both_kernels_match_reference_at_the_cutover(kernel_calls, count, interval, past):
-    # n = 6 (15 dyads).  The space alone picks the kernel: 12 free dyads
-    # run on state codes and 13 on bitmasks, for 800 steps or 80,000.
+    # n = 6 (15 dyads).  The space alone picks the route: 12 free dyads
+    # are drawn exactly and 13 run the chain, for 800 steps or 80,000.
     n, k = 6, expfam._CODE_TABLE_LIMIT + past
     assert k == 12 + past
     rng = np.random.default_rng(k)
@@ -676,54 +756,104 @@ def test_both_kernels_match_reference_at_the_cutover(kernel_calls, count, interv
     observed = np.ones(15, dtype=bool)
     observed[rng.permutation(15)[:k]] = False
     mask = ObservationMask.from_graph(graph, observed)
-    assert_same_chain(EST, np.array([-0.4, 0.15, 0.3]), n, count, interval=interval, mask=mask,
-                      seed=SeedSequence([k, count]))
-    assert kernel_calls == ["_bitmask_chain" if past else "_table_chain"]
+    assert_same_sample(EST, np.array([-0.4, 0.15, 0.3]), n, count, interval=interval,
+                       mask=mask, seed=SeedSequence([k, count]))
+    assert kernel_calls == ["_bitmask_chain" if past else "_exact_codes"]
 
 
 @pytest.mark.parametrize("k", [10, 12])
-def test_short_chains_on_a_large_graph_run_on_state_codes(kernel_calls, k):
-    # 5 records at the default interval: a chain of 150 to 180 steps on
-    # n = 30 runs on the state codes of its small space.
+def test_small_spaces_on_a_large_graph_are_drawn_exactly(kernel_calls, k):
+    # n = 30 with 10 or 12 free dyads: the draws come from the states of
+    # the small space, whatever the size of the graph.
     n, mask = masked_n30(k)
-    assert_same_chain(EST, np.array([-0.8, 0.05, 0.4]), n, 5, mask=mask,
-                      seed=SeedSequence([30, k]))
-    assert kernel_calls == ["_table_chain"]
+    assert_same_sample(EST, np.array([-0.8, 0.05, 0.4]), n, 5, mask=mask,
+                       seed=SeedSequence([30, k]))
+    assert kernel_calls == ["_exact_codes"]
 
 
 def test_code_table_arrays_are_read_only():
-    # The state-code kernel's memo cannot be changed by a caller: the rows
-    # are a read-only array, the toggle kinds and the per-state index are
-    # tuples of ints.  Together they give every toggle's change.
+    # The exact route's memo cannot be changed by a caller: every state's
+    # (edges, 2-stars, triangles) row, in code order, in a read-only array.
     n, mask = masked_n5()
-    k = mask.n_free
-    rows, kinds, index = expfam._code_table(*expfam._space_key(n, mask))
-    assert rows.shape == (1 << k, 3)
+    rows = expfam._code_table(*expfam._space_key(n, mask))
+    assert rows.shape == (1 << mask.n_free, 3)
     assert not rows.flags.writeable
     with pytest.raises(ValueError):
         rows[0] = 99.0
-    assert type(kinds) is tuple and len(set(kinds)) == len(kinds)
-    assert all(type(kind) is tuple and len(kind) == 3 for kind in kinds)
-    assert all(type(v) is int for kind in kinds for v in kind)
-    assert type(index) is tuple and len(index) == 1 << k
-    assert all(type(row) is tuple and len(row) == k for row in index)
-    for code, row in enumerate(index):
-        for t, kind in enumerate(row):
-            assert kinds[kind] == tuple(rows[code ^ (1 << t)] - rows[code])
+    assert np.array_equal(rows, per_code_rows(EST, n, mask))
+
+
+K4_THETA = np.array([-0.3, 0.8])
 
 
 @pytest.mark.parametrize("mask, count, digest", [
     (None, 75, "d5370abfad324f3a8aa59879902be9e9ac59b848cf544e46a2d7dbb993aefae0"),
     ("masked", 25, "1bb3e6dca44594acd4af0ea42e99cd26798ae14da997cc25a60ddb1df8583c1d"),
 ])
-def test_sampler_rows_are_pinned_on_k4(kernel_calls, mask, count, digest):
-    # The estimate-k4 samples (default interval) on the state-code
-    # kernel; the digests are of rows drawn with the bitmask kernel.
+def test_sampler_rows_are_pinned_on_k4(chain_sampler, kernel_calls, mask, count, digest):
+    # The estimate-k4 samples at the default interval, on the chain.
     graph, k4_mask = masked_k4_instance()
-    sample = mcmc_sample(ET, np.array([-0.3, 0.8]), graph.n, count,
+    sample = mcmc_sample(ET, K4_THETA, graph.n, count,
                          mask=k4_mask if mask else None, seed=SeedSequence(count))
-    assert kernel_calls == ["_table_chain"]
+    assert kernel_calls == ["_bitmask_chain"]
     assert hashlib.sha256(sample.rows.astype("<f8").tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("mask, count, digest", [
+    (None, 75, "c206b37184bcc4f8c648470753c99ea76c98f6dbf01de6b15cd28022187eb757"),
+    ("masked", 25, "284766d7675de6207c31ab1655fb308159ac9bd0a8e13c4596ee31120394f97b"),
+])
+def test_exact_draws_are_pinned_on_k4(kernel_calls, mask, count, digest):
+    # The estimate-k4 samples as the estimator draws them: exactly.
+    graph, k4_mask = masked_k4_instance()
+    sample = mcmc_sample(ET, K4_THETA, graph.n, count,
+                         mask=k4_mask if mask else None, seed=SeedSequence(count))
+    assert kernel_calls == ["_exact_codes"]
+    assert hashlib.sha256(sample.rows.astype("<f8").tobytes()).hexdigest() == digest
+
+
+# Upper 1e-4 point of the standard normal: the goodness-of-fit bound
+# below is the chi-square quantile at that level, fixed before any run.
+GOF_Z = 3.719
+
+
+def chi_square_bound(df):
+    """Wilson-Hilferty approximation of the upper GOF_Z quantile of the
+    chi-square law with df degrees of freedom."""
+    return df * (1.0 - 2.0 / (9.0 * df) + GOF_Z * math.sqrt(2.0 / (9.0 * df))) ** 3
+
+
+@pytest.mark.parametrize("theta", [(0.0, 0.0), (-0.3, 0.8), (0.5, -0.6)],
+                         ids=lambda t: ",".join(map(str, t)))
+@pytest.mark.parametrize("masked", [False, True], ids=["n5", "k4-masked"])
+@pytest.mark.parametrize("route", ["exact", "chain"])
+def test_sampled_frequencies_match_the_histogram(request, route, masked, theta):
+    # 4000 draws against statistic_histogram's exact probabilities at
+    # theta.  Rows expected fewer than 5 times are pooled into one cell,
+    # and the chi-square statistic must stay under its 1e-4 quantile.
+    if route == "chain":
+        request.getfixturevalue("chain_sampler")
+    _, mask = masked_k4_instance()
+    mask = mask if masked else None
+    rows, counts = statistic_histogram(ET, 5, mask)
+    log_weights = np.log(counts) + rows @ np.array(theta)
+    probs = np.exp(log_weights - log_weights.max())
+    probs /= probs.sum()
+    draws = 4000
+    sample = mcmc_sample(ET, np.array(theta), 5, draws, mask=mask, seed=SeedSequence(2024))
+    index = {tuple(row): i for i, row in enumerate(rows.tolist())}
+    observed = np.bincount([index[tuple(row)] for row in sample.rows.tolist()],
+                           minlength=len(rows))
+    expected = draws * probs
+    small = expected < 5.0
+    cells_o = [*observed[~small], observed[small].sum()]
+    cells_e = [*expected[~small], expected[small].sum()]
+    if not small.any():
+        cells_o, cells_e = cells_o[:-1], cells_e[:-1]
+    statistic = sum((o - e) ** 2 / e for o, e in zip(cells_o, cells_e))
+    df = len(cells_o) - 1
+    assert df >= 2
+    assert statistic <= chi_square_bound(df), (statistic, df)
 
 
 def test_sampler_rows_are_pinned_at_n30():

@@ -15,8 +15,10 @@ ROOT = Path(__file__).resolve().parents[1]
 RUNS = {
     "estimator-sweep-1": ["estimator_demo.py", "--sweep", "1"],
     "estimator-sweep-0": ["estimator_demo.py", "--sweep", "0"],
-    # Master seed 195's step fails its likelihood ascent.
+    # Master seeds 14, 25, ... draw rank-deficient targets.
     "estimator-sweep-200": ["estimator_demo.py", "--sweep", "200"],
+    # Master seed 443's step fails its likelihood ascent.
+    "estimator-sweep-450": ["estimator_demo.py", "--sweep", "450"],
     "prune-tradeoff": ["prune_tradeoff.py", "--n-points", "2000", "--dim", "3",
                        "--n-tests", "3", "--fractions", "0.5", "1.0"],
     "answer-digest": ["answer_digest.py", "--k4-seeds", "3", "--exact-ops", "2",
